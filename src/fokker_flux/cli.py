@@ -5,7 +5,8 @@
     fokker-flux sweep --config cfg.json --gamma 0,0.25,0.5,0.75,1 [--out DIR]
     fokker-flux eigen --beta 1.0 [--weights 0.5,0.5]
 
-Exit codes: 0 success, 2 configuration errors, 3 solver errors, 4 I/O errors.
+Exit codes: 0 success, 2 configuration errors (a time step above the
+stability or positivity bound included), 3 solver errors, 4 I/O errors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     InvalidInitialError,
     InvalidModelError,
     ShapeError,
+    StabilityError,
 )
 from .experiments import (
     PRESETS,
@@ -170,7 +172,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, InvalidGridError, InvalidInitialError, InvalidModelError, ShapeError) as exc:
+    except (
+        ConfigError, InvalidGridError, InvalidInitialError, InvalidModelError, ShapeError,
+        StabilityError,
+    ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FokkerFluxError as exc:

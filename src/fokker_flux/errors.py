@@ -26,7 +26,16 @@ class StabilityError(FokkerFluxError):
 
 
 class DivergenceError(FokkerFluxError):
-    """Non-finite values appeared during time stepping."""
+    """Non-finite values appeared during time stepping.
+
+    When raised from a run, carries the index and the physical time of the
+    step at which the non-finite value was first seen.
+    """
+
+    def __init__(self, message: str, step: int | None = None, time: float | None = None):
+        super().__init__(message)
+        self.step = step
+        self.time = time
 
 
 class StepFailureError(FokkerFluxError):

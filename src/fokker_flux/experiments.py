@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blas import serial_blas
 from .domain import (
     DensityField,
     Grid,
@@ -676,7 +677,9 @@ def gamma_sweep(
             for payload in payloads:
                 rows.append(SweepRow(*_sweep_worker(payload)))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # forked workers inherit one BLAS thread: the pool already fills the
+            # cores, and a worker that starts BLAS threads of its own oversubscribes them
+            with serial_blas(), ProcessPoolExecutor(max_workers=workers) as pool:
                 for result in pool.map(_sweep_worker, payloads):
                     rows.append(SweepRow(*result))
     except FokkerFluxError as exc:

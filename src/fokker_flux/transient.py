@@ -17,12 +17,14 @@ telescopes.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .blas import serial_blas
 from .domain import DensityField, FloatArray, Grid, ModelSpec, eval_potential, trapezoid
 from .entropy import default_kind, entropy, l1_distance
 from .errors import (
@@ -51,7 +53,8 @@ class SolverConfig:
     """Time-stepping parameters.
 
     ``observe_every`` is the step stride of the observer samples; the
-    explicit scheme additionally requires ``dt <= cfl_max_dt``.
+    explicit scheme additionally requires ``dt <= cfl_max_dt`` and, for
+    models A and B, a step matrix ``T >= 0`` (the positivity certificate).
     """
 
     dt: float
@@ -84,8 +87,12 @@ class Trajectory:
     """Sampled observables and snapshots of one run.
 
     ``times`` is strictly increasing with one row of observables per
-    sample. ``min_value`` / ``max_value`` track every iterate, not just
-    the sampled ones.
+    sample. ``min_value`` / ``max_value`` range over the iterates the run
+    materialises: every step for model C; for models A and B, which jump
+    from event to event with the affine propagator, step 0, the samples,
+    the snapshots and the final step. Nonnegativity of every A/B iterate
+    follows from the certificate checked when the propagator is built
+    (see :meth:`_ExplicitStepper.affine_matrix`).
     """
 
     times: FloatArray
@@ -104,6 +111,9 @@ class Trajectory:
     max_value: float
     steps: int
     dt: float
+
+
+_ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 
 
 def cfl_max_dt(model: ModelSpec, grid: Grid) -> float:
@@ -209,6 +219,62 @@ class _ExplicitStepper:
             np.subtract(np.float64(self.model.alpha), self.react, out=self.react)
             self.react *= dt
             rho += self.react
+
+    def affine_matrix(self, dt: float) -> FloatArray:
+        """Augmented step matrix ``P = [[T, c], [0, 1]]`` of model A or B.
+
+        One explicit step of a linear model is the affine map
+        ``rho -> T rho + c``; ``P`` applied to ``(rho, 1)`` performs it, and
+        ``P^m`` performs m steps. ``c = step(0)`` and column j of ``T`` is
+        ``step(e_j) - c``, read off :meth:`step` itself, so model B's Lie
+        splitting of transport and reaction is reproduced as stepped.
+
+        Raises StabilityError unless ``T >= 0`` entrywise (up to roundoff)
+        and ``c >= 0``: with that certificate every iterate of nonnegative
+        data is nonnegative.
+        """
+        n = self.grid.n
+        out = np.zeros((n + 1, n + 1))
+        c = np.zeros(n)
+        self.step(c, dt)
+        column = np.empty(n)
+        for j in range(n):
+            column.fill(0.0)
+            column[j] = 1.0
+            self.step(column, dt)
+            np.subtract(column, c, out=out[:n, j])
+        out[:n, n] = c
+        out[n, n] = 1.0
+        T = out[:n, :n]
+        if not (T.min() >= -_ROUNDOFF and c.min() >= 0.0):
+            i, j = np.unravel_index(int(np.argmin(T)), T.shape)
+            raise StabilityError(
+                f"dt={dt} breaks the positivity bound T >= 0 (to -{_ROUNDOFF:g}), c >= 0 "
+                f"of the explicit step rho -> T rho + c: T[{i}, {j}] = {T[i, j]:.3e}, "
+                f"min c = {c.min():.3e} (stability bound {cfl_max_dt(self.model, self.grid):.6e}); "
+                "lower dt (run configurations accept dt='auto' for half the bound)"
+            )
+        return out
+
+    def jump_matrices(self, dt: float, jumps: set) -> dict:
+        """``P^m`` for every jump length m, ``P`` the :meth:`affine_matrix`.
+
+        One pass of binary powering serves every m: ``P`` is squared in
+        turn, and each square ``P^(2^j)`` with bit j set in m is multiplied
+        into the partial product of m. Only the running square and one
+        partial product per m stay alive, never the list of all squares.
+        """
+        powers: dict[int, FloatArray] = {}
+        square = self.affine_matrix(dt)
+        bit, top = 1, max(jumps)
+        while True:
+            for m in jumps:
+                if m & bit:
+                    powers[m] = powers[m] @ square if m in powers else square
+            bit <<= 1
+            if bit > top:
+                return powers
+            square = square @ square
 
 
 def step_explicit(rho: DensityField, model: ModelSpec, dt: float) -> DensityField:
@@ -350,7 +416,13 @@ def run_transient(
     every ``observe_every`` steps, and at the final step. Snapshots are
     taken at the steps nearest the requested times; ``keep_fields``
     additionally retains the field at every observer sample. Step errors
-    propagate with the failing time attached.
+    propagate with the failing time attached; a non-finite value raises
+    DivergenceError with the step and time at which it was first seen.
+
+    Models A and B on the explicit scheme do not step one by one: they jump
+    from one event (sample, snapshot or final step) to the next with one
+    matrix-vector product by a power of the affine step matrix, built once
+    per jump length (:meth:`_ExplicitStepper.jump_matrices`). Model C steps.
     """
     grid = initial.grid
     initial.validate_for_model(model, strict_box=config.scheme == "implicit-entropy")
@@ -386,11 +458,8 @@ def run_transient(
     ref_field = reference.field
 
     def sample(step_index: int) -> None:
-        t = step_index * dt
-        if not np.all(np.isfinite(rho)):
-            raise DivergenceError(f"non-finite values at t={t:.6g}")
         here = DensityField(rho.copy(), grid)
-        times.append(t)
+        times.append(step_index * dt)
         ent.append(entropy(kind, here, ref_field))
         mass_tz.append(trapezoid(rho, grid.dx))
         mass_na.append(float(rho.mean()))
@@ -406,29 +475,59 @@ def run_transient(
 
     min_value = float(rho.min())
     max_value = float(rho.max())
-    sample(0)
-    snapshot(0)
-    for k in range(1, steps + 1):
-        if explicit is not None:
-            explicit.step(rho, dt)
-        else:
-            try:
-                rho = implicit.step(rho, dt)
-            except StepFailureError as err:
-                raise StepFailureError(
-                    f"implicit step failed at t={k * dt:.6g}: {err}",
-                    residual=err.residual,
-                    time=k * dt,
-                ) from err
+
+    def reached(step_index: int) -> None:
+        nonlocal min_value, max_value
         lo = float(rho.min())
         hi = float(rho.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            t = step_index * dt
+            raise DivergenceError(
+                f"non-finite values at step {step_index}, t={t:.6g}", step=step_index, time=t
+            )
         min_value = lo if lo < min_value else min_value
         max_value = hi if hi > max_value else max_value
-        snapshot(k)
-        if k % config.observe_every == 0 or k == steps:
-            sample(k)
-    if not math.isfinite(min_value) or not math.isfinite(max_value):
-        raise DivergenceError("non-finite values during the run")
+        snapshot(step_index)
+        if step_index % config.observe_every == 0 or step_index == steps:
+            sample(step_index)
+
+    sample(0)
+    snapshot(0)
+    if explicit is not None and not model.crowded:
+
+        def events():
+            """(step, steps since the previous event) for each event after step 0."""
+            previous = 0
+            stride = config.observe_every
+            for k in heapq.merge(range(stride, steps, stride), sorted({*snap_lookup, steps})):
+                if k > previous:
+                    yield k, k - previous
+                    previous = k
+
+        jumps = {jump for _, jump in events()}
+        if jumps:  # a zero-length run builds nothing
+            # small dense products: more BLAS threads only wait for each other (blas.py)
+            with serial_blas():
+                powers = explicit.jump_matrices(dt, jumps)
+                state = np.append(rho, 1.0)
+                for k, jump in events():
+                    state = powers[jump] @ state
+                    rho = state[:-1]
+                    reached(k)
+    else:
+        for k in range(1, steps + 1):
+            if explicit is not None:
+                explicit.step(rho, dt)
+            else:
+                try:
+                    rho = implicit.step(rho, dt)
+                except StepFailureError as err:
+                    raise StepFailureError(
+                        f"implicit step failed at t={k * dt:.6g}: {err}",
+                        residual=err.residual,
+                        time=k * dt,
+                    ) from err
+            reached(k)
 
     def sealed(seq) -> FloatArray:
         arr = np.asarray(seq, dtype=np.float64)

@@ -19,22 +19,25 @@ def solve_tridiagonal(
     No pivoting: intended for the diagonally dominant systems assembled in
     this package.
     """
-    n = diag.size
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
+    # Python floats: the elimination is a scalar recurrence, and indexing
+    # numpy arrays element by element costs several times the arithmetic.
+    sub, main, sup, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    n = len(main)
+    if main[0] == 0.0:
+        raise IterationError("zero pivot in tridiagonal elimination at row 0")
+    c = [0.0] * n
+    d = [0.0] * n
+    c[0] = sup[0] / main[0]
+    d[0] = r[0] / main[0]
     for i in range(1, n):
-        denom = diag[i] - lower[i - 1] * c[i - 1]
+        denom = main[i] - sub[i - 1] * c[i - 1]
         if denom == 0.0:
             raise IterationError(f"zero pivot in tridiagonal elimination at row {i}")
-        c[i] = upper[i] / denom if i < n - 1 else 0.0
-        d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
+        c[i] = sup[i] / denom if i < n - 1 else 0.0
+        d[i] = (r[i] - sub[i - 1] * d[i - 1]) / denom
     for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
 
 
 def apply_tridiagonal(

@@ -320,6 +320,19 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     assert "beta >= beta_0 > 0" in capsys.readouterr().err
 
 
+def test_cli_dt_breaking_positivity_exits_2(tmp_path, capsys):
+    # V' = 0 at dt = cfl_max_dt: within the stability bound, outside T >= 0
+    from fokker_flux import cfl_max_dt
+
+    config = preset_config("entropy-A-gamma0")
+    limit = cfl_max_dt(config.model_spec(), config.grid())
+    code = main(["preset", "entropy-A-gamma0", "--out", str(tmp_path / "x"),
+                 "--set", f"dt={limit!r}", "--set", "t_end=0.001"])
+    assert code == 2
+    assert "T >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

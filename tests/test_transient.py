@@ -18,8 +18,10 @@ from fokker_flux import (
     build_initial,
     cfl_max_dt,
     entropy,
+    execute,
     face_flux,
     flux_field,
+    preset_config,
     residual_stationary,
     run_transient,
     stationary_closed,
@@ -28,6 +30,7 @@ from fokker_flux import (
     step_implicit_entropy,
     trapezoid,
 )
+from fokker_flux.transient import _ExplicitStepper
 
 LINEAR = PotentialSpec("linear")
 ZERO = PotentialSpec("zero")
@@ -369,3 +372,94 @@ def test_transient_order_of_accuracy():
         traj = run_transient(MODEL_A, init, cfg, reference=closed)
         errs.append(np.max(np.abs(traj.final.values - closed.field.values)))
     assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+# ------------------------------------------- affine propagator (A and B)
+
+LINEAR_PRESETS = (
+    "evolution-A", "entropy-A", "entropy-A-gamma0", "evolution-B", "entropy-B", "mass1", "mass2",
+)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 333, 1000])  # 333 does not divide 2000 steps
+@pytest.mark.parametrize("name", LINEAR_PRESETS)
+def test_propagator_matches_stepping(name, stride):
+    config = preset_config(name)
+    model, grid = config.model_spec(), config.grid()
+    initial = build_initial(config.initial_spec(), grid, model)
+    dt = config.resolve_dt(model, grid)
+    snap_time = 0.0037  # step 740, on no observer stride
+    traj = run_transient(
+        model, initial, SolverConfig(dt=dt, t_end=0.01, observe_every=stride),
+        snapshot_times=[snap_time], keep_fields=True,
+    )
+    # reference: the explicit stepper applied one step at a time
+    stepper = _ExplicitStepper(model, grid)
+    rho = initial.values.copy()
+    steps = int(round(0.01 / dt))
+    sampled, fields = [0], [rho.copy()]
+    snap = None
+    for k in range(1, steps + 1):
+        stepper.step(rho, dt)
+        if k == int(round(snap_time / dt)):
+            snap = rho.copy()
+        if k % stride == 0 or k == steps:
+            sampled.append(k)
+            fields.append(rho.copy())
+    assert traj.steps == steps
+    assert np.array_equal(traj.times, np.array(sampled) * dt)
+    assert len(traj.sampled_fields) == len(fields)
+    for got, want in zip(traj.sampled_fields, fields):
+        assert np.max(np.abs(got.values - want)) <= 1e-10
+    assert np.max(np.abs(traj.final.values - rho)) <= 1e-10
+    assert [t for t, _ in traj.snapshots] == [snap_time]
+    assert np.max(np.abs(traj.snapshots[0][1].values - snap)) <= 1e-10
+
+
+def test_positivity_certificate_rejects_gamma0_at_stability_bound():
+    # V' = 0: the bound leaves out the outflow term of the half cell at x = 1,
+    # so T[n-1, n-1] = -beta dx there
+    config = preset_config("entropy-A-gamma0", {"t_end": 0.001})
+    model, grid = config.model_spec(), config.grid()
+    limit = cfl_max_dt(model, grid)
+    with pytest.raises(StabilityError, match=r"T >= 0.*T\[199, 199\] = -5\.0"):
+        execute(preset_config("entropy-A-gamma0", {"t_end": 0.001, "dt": limit}))
+    summary, traj = execute(preset_config("entropy-A-gamma0", {"t_end": 0.001, "dt": "auto"}))
+    assert summary.dt == 0.5 * limit
+    assert traj.min_value >= 0.0
+
+
+def test_divergence_reported_at_the_step_it_happens(monkeypatch):
+    g = build_grid(40)
+    f = build_initial(InitialSpec("parabola"), g, MODEL_C)
+    original = _ExplicitStepper.step
+    calls = []
+
+    def poisoned(self, rho, dt):
+        original(self, rho, dt)
+        calls.append(None)
+        if len(calls) == 3:
+            rho[5] = np.nan
+
+    monkeypatch.setattr(_ExplicitStepper, "step", poisoned)
+    dt = 1e-4
+    with pytest.raises(DivergenceError) as excinfo:
+        run_transient(MODEL_C, f, SolverConfig(dt=dt, t_end=0.2, observe_every=1000))
+    assert excinfo.value.step == 3
+    assert excinfo.value.time == 3 * dt
+
+
+def test_divergence_reported_at_jump_endpoint(monkeypatch):
+    g = build_grid(40)
+    f = build_initial(InitialSpec("affine"), g, MODEL_A)
+    original = _ExplicitStepper.affine_matrix
+
+    def poisoned(self, dt):
+        out = original(self, dt)
+        out[7, 7] = np.inf
+        return out
+
+    monkeypatch.setattr(_ExplicitStepper, "affine_matrix", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as excinfo:
+        run_transient(MODEL_A, f, SolverConfig(dt=1e-4, t_end=0.2, observe_every=300))
+    assert excinfo.value.step == 300

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fokker_flux import IterationError
 from fokker_flux.tridiag import apply_tridiagonal, solve_refined, solve_tridiagonal
 
 
@@ -41,3 +42,43 @@ def test_refined_solve_guess_independent():
     plain = solve_refined(lower, diag, upper, rhs)
     probed = solve_refined(lower, diag, upper, rhs, guess=rng.normal(size=200))
     assert np.max(np.abs(plain - probed)) < 1e-12
+
+
+def thomas_numpy_scalars(lower, diag, upper, rhs):
+    """Reference elimination indexing the numpy arrays element by element."""
+    n = diag.size
+    c = np.empty(n)
+    d = np.empty(n)
+    c[0] = upper[0] / diag[0]
+    d[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - lower[i - 1] * c[i - 1]
+        c[i] = upper[i] / denom if i < n - 1 else 0.0
+        d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / denom
+    x = np.empty(n)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 200, 333])
+def test_solver_bit_identical_to_numpy_scalar_loop(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        system = random_dominant_system(rng, n)
+        assert np.array_equal(solve_tridiagonal(*system), thomas_numpy_scalars(*system))
+
+
+def test_zero_pivot_raises():
+    lower, diag, upper, rhs = random_dominant_system(np.random.default_rng(5), 5)
+    singular = diag.copy()
+    singular[0] = 0.0
+    with pytest.raises(IterationError, match="row 0"):
+        solve_tridiagonal(lower, singular, upper, rhs)
+    # leading 2x2 block [[1, 1], [1, 1]]: the second pivot vanishes
+    singular = diag.copy()
+    singular[:2] = 1.0
+    lower[0] = upper[0] = 1.0
+    with pytest.raises(IterationError, match="row 1"):
+        solve_tridiagonal(lower, singular, upper, rhs)
