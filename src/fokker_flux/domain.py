@@ -29,19 +29,29 @@ def _readonly(a: np.ndarray) -> FloatArray:
     return out
 
 
-def trapezoid(values: FloatArray, dx: float) -> float:
-    """Trapezoid-rule integral of nodal values over a uniform grid."""
-    return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
+def _per_field(total: np.ndarray):
+    """A float for one field, the array of per-row values for a block."""
+    return float(total) if total.ndim == 0 else total
 
 
-def node_average(values: FloatArray) -> float:
+def trapezoid(values: FloatArray, dx: float):
+    """Trapezoid-rule integral of nodal values over a uniform grid.
+
+    Reduces over the last axis: a float for one field of nodal values, one
+    integral per row for an ``(m, n)`` block of fields.
+    """
+    return _per_field(dx * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1])))
+
+
+def node_average(values: FloatArray):
     """Integral estimate that weights every node equally (mean of nodes).
 
     First-order quadrature that gives boundary nodes the same weight as
     interior ones; kept alongside :func:`trapezoid` because the reference
     mass tabulations reproduced by the mass-evolution experiments use it.
+    Reduces over the last axis, like :func:`trapezoid`.
     """
-    return float(values.mean())
+    return _per_field(values.mean(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -26,28 +26,45 @@ def default_kind(model: ModelSpec) -> str:
 
 
 def _clamped(values: FloatArray, *, box: bool) -> FloatArray:
-    lo_bad = values < -ROUNDOFF_GUARD
-    if np.any(lo_bad):
-        i = int(np.argmax(lo_bad))
-        raise EntropyDomainError(f"negative density {values[i]} at node {i}")
+    """Clamp roundoff undershoot (and overshoot of 1 with ``box``).
+
+    ``values`` is one field or an ``(m, n)`` block of fields; larger
+    violations raise, naming a node of the first offending field.
+    """
+    bad = values < -ROUNDOFF_GUARD
     if box:
-        hi_bad = values > 1.0 + ROUNDOFF_GUARD
-        if np.any(hi_bad):
-            i = int(np.argmax(hi_bad))
-            raise EntropyDomainError(f"density {values[i]} above 1 at node {i}")
-        return np.clip(values, 0.0, 1.0)
-    return np.maximum(values, 0.0)
+        bad |= values > 1.0 + ROUNDOFF_GUARD
+    if np.any(bad):
+        first = int(np.argmax(np.atleast_2d(bad).any(axis=-1)))
+        _reject(np.atleast_2d(values)[first])
+    return np.clip(values, 0.0, 1.0) if box else np.maximum(values, 0.0)
+
+
+def _reject(row: FloatArray) -> None:
+    """Raise for the offending field ``row``, naming a negative node first."""
+    negative = row < -ROUNDOFF_GUARD
+    if np.any(negative):
+        i = int(np.argmax(negative))
+        raise EntropyDomainError(f"negative density {row[i]} at node {i}")
+    i = int(np.argmax(row > 1.0 + ROUNDOFF_GUARD))
+    raise EntropyDomainError(f"density {row[i]} above 1 at node {i}")
 
 
 def _xlogx_ratio(a: FloatArray, b: FloatArray) -> FloatArray:
     """a * log(a / b) with the continuous extension 0 log 0 = 0."""
+    a, b = np.broadcast_arrays(a, b)
     out = np.zeros_like(a)
     pos = a > 0.0
     out[pos] = a[pos] * np.log(a[pos] / b[pos])
     return out
 
 
-def entropy(kind: str, rho: DensityField, rho_inf: DensityField) -> float:
+def _values(rho) -> FloatArray:
+    """Nodal values of a DensityField; an array (one field or a block) as is."""
+    return rho.values if isinstance(rho, DensityField) else rho
+
+
+def entropy(kind: str, rho, rho_inf: DensityField):
     """Relative entropy of ``rho`` with respect to ``rho_inf``.
 
     * ``quadratic``    (1/2) Int (rho - rho_inf)^2 / rho_inf
@@ -55,11 +72,12 @@ def entropy(kind: str, rho: DensityField, rho_inf: DensityField) -> float:
     * ``two-species``  Int rho log(rho/rho_inf) + (1-rho) log((1-rho)/(1-rho_inf))
 
     All three are Bregman distances, hence nonnegative and zero exactly at
-    ``rho = rho_inf``. Integrals use the trapezoid rule.
+    ``rho = rho_inf``. Integrals use the trapezoid rule. ``rho`` is a
+    DensityField (the result is a float) or an ``(m, n)`` block of nodal
+    values on the grid of ``rho_inf`` (one entropy per row).
     """
     if kind not in ENTROPY_KINDS:
         raise EntropyDomainError(f"unknown entropy kind {kind!r}")
-    grid = rho.grid
     ref = rho_inf.values
     if np.any(ref <= 0.0):
         i = int(np.argmax(ref <= 0.0))
@@ -67,14 +85,14 @@ def entropy(kind: str, rho: DensityField, rho_inf: DensityField) -> float:
     if kind == "two-species" and np.any(ref >= 1.0):
         i = int(np.argmax(ref >= 1.0))
         raise EntropyDomainError(f"reference must stay below 1; node {i} is {ref[i]}")
-    vals = _clamped(rho.values, box=kind == "two-species")
+    vals = _clamped(_values(rho), box=kind == "two-species")
     if kind == "quadratic":
         integrand = 0.5 * (vals - ref) ** 2 / ref
     elif kind == "logarithmic":
         integrand = _xlogx_ratio(vals, ref) - (vals - ref)
     else:
         integrand = _xlogx_ratio(vals, ref) + _xlogx_ratio(1.0 - vals, 1.0 - ref)
-    return trapezoid(integrand, grid.dx)
+    return trapezoid(integrand, rho_inf.grid.dx)
 
 
 def mass(rho: DensityField) -> float:
@@ -92,9 +110,9 @@ def mass_node_average(rho: DensityField) -> float:
     return node_average(rho.values)
 
 
-def l1_distance(rho: DensityField, rho_inf: DensityField) -> float:
-    """Trapezoid integral of |rho - rho_inf|."""
-    return trapezoid(np.abs(rho.values - rho_inf.values), rho.grid.dx)
+def l1_distance(rho, rho_inf: DensityField):
+    """Trapezoid integral of |rho - rho_inf|; ``rho`` as in :func:`entropy`."""
+    return trapezoid(np.abs(_values(rho) - rho_inf.values), rho_inf.grid.dx)
 
 
 def ck_constant(rho: DensityField, rho_inf: DensityField) -> float:

@@ -173,43 +173,61 @@ def stationary_numeric(
     return StationarySolution(field, "numeric", model, _sup_residual(field, model))
 
 
-def steady_residual(field: DensityField, model: ModelSpec) -> FloatArray:
-    """Nodal residual of the discrete steady equation, in symmetrized form.
+class SteadyEquation:
+    """The discrete steady equation of one model on one grid.
 
     Face fluxes use the symmetrizing variable of each model: the Slotboom
     variable ``rho e^{-V}`` for A and B, the entropy variable
     ``log(rho/(1-rho)) - V`` (with mobility at the face mean) for C.
     Boundary faces carry the imposed fluxes; boundary rows balance over
     half cells, which makes them first-order while interior rows are
-    second-order accurate.
+    second-order accurate. ``exp(-V)``, ``exp(V)`` at the faces and the cell
+    volumes are built once, so a run evaluates it on every observer block
+    without rebuilding them.
     """
-    grid = field.grid
-    n = grid.n
-    pv = eval_potential(model.potential, grid)
-    rho = field.values
-    if model.model in ("A", "B"):
-        u = rho * np.exp(-pv.nodes)
-        flux = -np.exp(pv.faces) * (u[1:] - u[:-1]) / grid.dx
-    else:
-        clipped = np.clip(rho, _BOX_CLIP, 1.0 - _BOX_CLIP)
-        u = np.log(clipped / (1.0 - clipped)) - pv.nodes
-        mean = 0.5 * (rho[:-1] + rho[1:])
-        flux = -(mean * (1.0 - mean)) * (u[1:] - u[:-1]) / grid.dx
-    faces = np.empty(n + 1)
-    faces[1:-1] = flux
-    if model.model == "A":
-        faces[0] = model.alpha
-        faces[-1] = model.beta * rho[-1]
-        reaction = 0.0
-    else:
-        faces[0] = faces[-1] = 0.0
-        if model.model == "B":
-            reaction = model.alpha - model.beta * rho * np.exp(-pv.nodes)
+
+    def __init__(self, model: ModelSpec, grid: Grid):
+        pv = eval_potential(model.potential, grid)
+        self.model = model
+        self.grid = grid
+        self.v = pv.nodes
+        self.emv = np.exp(-pv.nodes)
+        self.neg_ev_faces = -np.exp(pv.faces)
+        self.vol = np.full(grid.n, grid.dx)
+        self.vol[0] = self.vol[-1] = 0.5 * grid.dx
+
+    def residual(self, rho: FloatArray) -> FloatArray:
+        """Nodal residual at ``rho``: one field, or an ``(m, n)`` block row by row."""
+        model, dx = self.model, self.grid.dx
+        if model.model in ("A", "B"):
+            u = rho * self.emv
+            flux = self.neg_ev_faces * (u[..., 1:] - u[..., :-1]) / dx
         else:
-            reaction = model.alpha * (1.0 - rho) - model.beta * rho * np.exp(-pv.nodes)
-    vol = np.full(n, grid.dx)
-    vol[0] = vol[-1] = 0.5 * grid.dx
-    return (faces[1:] - faces[:-1]) / vol - reaction
+            clipped = np.clip(rho, _BOX_CLIP, 1.0 - _BOX_CLIP)
+            u = np.log(clipped / (1.0 - clipped)) - self.v
+            mean = 0.5 * (rho[..., :-1] + rho[..., 1:])
+            flux = -(mean * (1.0 - mean)) * (u[..., 1:] - u[..., :-1]) / dx
+        faces = np.empty(rho.shape[:-1] + (self.grid.n + 1,))
+        faces[..., 1:-1] = flux
+        if model.model == "A":
+            faces[..., 0] = model.alpha
+            faces[..., -1] = model.beta * rho[..., -1]
+            reaction = 0.0
+        else:
+            faces[..., 0] = faces[..., -1] = 0.0
+            if model.model == "B":
+                reaction = model.alpha - model.beta * rho * self.emv
+            else:
+                reaction = model.alpha * (1.0 - rho) - model.beta * rho * self.emv
+        return (faces[..., 1:] - faces[..., :-1]) / self.vol - reaction
+
+
+def steady_residual(field: DensityField, model: ModelSpec) -> FloatArray:
+    """Nodal residual of the discrete steady equation, in symmetrized form.
+
+    See :class:`SteadyEquation` for the discretization.
+    """
+    return SteadyEquation(model, field.grid).residual(field.values)
 
 
 def _sup_residual(field: DensityField, model: ModelSpec) -> float:

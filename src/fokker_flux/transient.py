@@ -25,7 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blas import serial_blas
-from .domain import DensityField, FloatArray, Grid, ModelSpec, eval_potential, trapezoid
+from .domain import (
+    DensityField,
+    FloatArray,
+    Grid,
+    ModelSpec,
+    eval_potential,
+    node_average,
+    trapezoid,
+)
 from .entropy import default_kind, entropy, l1_distance
 from .errors import (
     ConfigError,
@@ -35,7 +43,7 @@ from .errors import (
     StabilityError,
     StepFailureError,
 )
-from .stationary import StationarySolution, stationary_numeric, steady_residual
+from .stationary import SteadyEquation, StationarySolution, stationary_numeric
 from .tridiag import solve_tridiagonal
 
 
@@ -115,6 +123,11 @@ class Trajectory:
 
 _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 
+# Rows of the block of sampled states the observers evaluate at once: at
+# n = 200 one row is 1.6 kB, the block 51 kB; larger blocks raised the peak
+# memory of a run without running the observers faster.
+OBSERVER_BLOCK = 32
+
 
 def cfl_max_dt(model: ModelSpec, grid: Grid) -> float:
     """Stability bound dx^2 / (2 + dx sup|V'|) for the explicit scheme.
@@ -126,22 +139,24 @@ def cfl_max_dt(model: ModelSpec, grid: Grid) -> float:
     return grid.dx**2 / (2.0 + grid.dx * pv.max_abs_slope)
 
 
+def _check_cfl(model: ModelSpec, grid: Grid, dt: float) -> None:
+    limit = cfl_max_dt(model, grid)
+    if dt > limit:
+        raise StabilityError(
+            f"dt={dt} exceeds the explicit stability bound {limit:.6e}; "
+            "lower dt (run configurations accept dt='auto' for half the bound)"
+        )
+
+
 def _mobility(model: ModelSpec, mean: FloatArray) -> FloatArray:
     return mean * (1.0 - mean) if model.crowded else mean
 
 
 def face_flux(rho: DensityField, model: ModelSpec, face: int) -> float:
     """Flux through the interior face between nodes ``face`` and ``face + 1``."""
-    grid = rho.grid
-    if not 0 <= face <= grid.n - 2:
-        raise IndexError(f"interior faces are 0 .. {grid.n - 2}, got {face}")
-    pv = eval_potential(model.potential, grid)
-    vals = rho.values
-    mean = 0.5 * (vals[face] + vals[face + 1])
-    mob = mean * (1.0 - mean) if model.crowded else mean
-    return float(
-        -(vals[face + 1] - vals[face]) / grid.dx + mob * pv.face_slope[face]
-    )
+    if not 0 <= face <= rho.grid.n - 2:
+        raise IndexError(f"interior faces are 0 .. {rho.grid.n - 2}, got {face}")
+    return float(flux_field(rho, model).values[face + 1])
 
 
 def flux_field(rho: DensityField, model: ModelSpec) -> FluxField:
@@ -157,18 +172,23 @@ def flux_field(rho: DensityField, model: ModelSpec) -> FluxField:
         faces[-1] = model.beta * vals[-1]
     else:
         faces[0] = faces[-1] = 0.0
-    out = faces
-    out.setflags(write=False)
-    return FluxField(out, grid)
+    faces.setflags(write=False)
+    return FluxField(faces, grid)
 
 
-def residual_stationary(rho: DensityField, model: ModelSpec) -> float:
+def residual_stationary(rho, model):
     """Sup-norm of the discrete steady-state equation at ``rho``.
 
-    See :func:`fokker_flux.stationary.steady_residual` for the exact form
+    ``rho`` is a DensityField and ``model`` its ModelSpec, or ``rho`` is an
+    ``(m, n)`` block of nodal values and ``model`` the run's
+    :class:`~fokker_flux.stationary.SteadyEquation` (one norm per row). See
+    :func:`fokker_flux.stationary.steady_residual` for the exact form
     (symmetrized fluxes, half-cell boundary rows).
     """
-    return float(np.max(np.abs(steady_residual(rho, model))))
+    if isinstance(rho, DensityField):
+        model, rho = SteadyEquation(model, rho.grid), rho.values
+    sup = np.max(np.abs(model.residual(rho)), axis=-1)
+    return float(sup) if sup.ndim == 0 else sup
 
 
 class _ExplicitStepper:
@@ -279,9 +299,7 @@ class _ExplicitStepper:
 
 def step_explicit(rho: DensityField, model: ModelSpec, dt: float) -> DensityField:
     """One explicit step; requires ``dt <= cfl_max_dt(model, grid)``."""
-    limit = cfl_max_dt(model, rho.grid)
-    if dt > limit:
-        raise StabilityError(f"dt={dt} exceeds the stability bound {limit:.6e}")
+    _check_cfl(model, rho.grid, dt)
     stepper = _ExplicitStepper(model, rho.grid)
     work = rho.values.copy()
     stepper.step(work, dt)
@@ -321,30 +339,35 @@ class _ImplicitStepper:
         out[~pos] = ez / (1.0 + ez)
         return out
 
-    def _residual_jacobian(self, u: FloatArray, rho_old: FloatArray, dt: float):
-        model, grid, vol = self.model, self.grid, self.vol
-        n = grid.n
-        dx = grid.dx
+    def _residual(self, u: FloatArray, rho_old: FloatArray, dt: float):
+        """Cell balances ``G(u)``, plus the density and face terms :meth:`_jacobian` reuses."""
+        model, vol = self.model, self.vol
         rho = self._logistic(u + self.v)
-        sig = rho * (1.0 - rho)
         mean = 0.5 * (rho[:-1] + rho[1:])
         mob = mean * (1.0 - mean)
         du = u[1:] - u[:-1]
-        flux = -mob * du / dx
-        div = np.empty(n)
+        flux = -mob * du / self.grid.dx
+        div = np.empty_like(rho)
         div[0] = flux[0]
         div[1:-1] = flux[1:] - flux[:-1]
         div[-1] = -flux[-1]
         react = model.alpha * (1.0 - rho) - model.beta * rho * self.emv
         G = vol * (rho - rho_old) / dt + div - vol * react
-        # tridiagonal Jacobian in u
+        return G, (rho, mean, mob, du)
+
+    def _jacobian(self, rho, mean, mob, du, dt: float):
+        """Tridiagonal Jacobian ``(lower, diag, upper)`` of ``G`` in u, from the
+        terms :meth:`_residual` returns beside ``G``."""
+        model, vol = self.model, self.vol
+        dx = self.grid.dx
+        sig = rho * (1.0 - rho)
         dmob = 1.0 - 2.0 * mean
         dflux_left = (-dmob * 0.5 * sig[:-1] * du + mob) / dx
         dflux_right = (-dmob * 0.5 * sig[1:] * du - mob) / dx
         dreact = (-model.alpha - model.beta * self.emv) * sig
         diag = vol * sig / dt - vol * dreact
-        lower = np.empty(n - 1)
-        upper = np.empty(n - 1)
+        lower = np.empty_like(du)
+        upper = np.empty_like(du)
         diag[0] += dflux_left[0]
         upper[0] = dflux_right[0]
         diag[1:-1] += dflux_left[1:] - dflux_right[:-1]
@@ -352,29 +375,37 @@ class _ImplicitStepper:
         lower[:-1] = -dflux_left[:-1]
         diag[-1] += -dflux_right[-1]
         lower[-1] = -dflux_left[-1]
-        return G, lower, diag, upper
+        return lower, diag, upper
+
+    def _norm(self, G: FloatArray) -> float:
+        return float(np.max(np.abs(G / self.vol)))
 
     def step(self, rho_old: FloatArray, dt: float) -> FloatArray:
+        """One backward-Euler step.
+
+        A line-search trial evaluates only ``G``; the accepted trial point is
+        the next Newton iterate, so its ``G`` is not evaluated again.
+        """
         cfg = self.newton
         u = np.log(rho_old / (1.0 - rho_old)) - self.v
-        norm = math.inf
+        G, terms = self._residual(u, rho_old, dt)
+        norm = self._norm(G)
         for _ in range(cfg.max_iter):
-            G, lower, diag, upper = self._residual_jacobian(u, rho_old, dt)
-            norm = float(np.max(np.abs(G / self.vol)))
             if norm < cfg.tolerance:
-                return self._logistic(u + self.v)
-            delta = solve_tridiagonal(lower, diag, upper, -G)
+                return terms[0]
+            delta = solve_tridiagonal(*self._jacobian(*terms, dt), -G)
             damping = 1.0
-            for _ in range(cfg.max_backtracks):
-                trial, *_ = self._residual_jacobian(u + damping * delta, rho_old, dt)
-                if float(np.max(np.abs(trial / self.vol))) < norm:
+            # max_backtracks trials; without a decrease the next, smaller step is taken as is
+            for _ in range(cfg.max_backtracks + 1):
+                trial = u + damping * delta
+                trial_G, trial_terms = self._residual(trial, rho_old, dt)
+                trial_norm = self._norm(trial_G)
+                if trial_norm < norm:
                     break
                 damping *= 0.5
-            u = u + damping * delta
-        G, *_ = self._residual_jacobian(u, rho_old, dt)
-        norm = float(np.max(np.abs(G / self.vol)))
+            u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
         if norm < cfg.tolerance:
-            return self._logistic(u + self.v)
+            return terms[0]
         raise StepFailureError(
             f"Newton did not reach {cfg.tolerance} within {cfg.max_iter} iterations "
             f"(residual {norm:.3e})",
@@ -419,6 +450,10 @@ def run_transient(
     propagate with the failing time attached; a non-finite value raises
     DivergenceError with the step and time at which it was first seen.
 
+    Sampled states are copied into a block of ``OBSERVER_BLOCK`` rows, and
+    the observers run once per full block (and once for the last, partial
+    one), each on all rows at once.
+
     Models A and B on the explicit scheme do not step one by one: they jump
     from one event (sample, snapshot or final step) to the next with one
     matrix-vector product by a power of the affine step matrix, built once
@@ -433,12 +468,7 @@ def run_transient(
     dt = config.dt
     steps = int(round(config.t_end / dt))
     if config.scheme == "explicit":
-        limit = cfl_max_dt(model, grid)
-        if dt > limit:
-            raise StabilityError(
-                f"dt={dt} exceeds the explicit stability bound {limit:.6e}; "
-                "lower dt (run configurations accept dt='auto' for half the bound)"
-            )
+        _check_cfl(model, grid, dt)
         explicit = _ExplicitStepper(model, grid)
         implicit = None
     else:
@@ -452,22 +482,38 @@ def run_transient(
         snap_lookup.setdefault(min(steps, int(round(t_req / dt))), float(t_req))
 
     rho = initial.values.copy()
-    times, ent, mass_tz, mass_na, l1s, resid, outflow = [], [], [], [], [], [], []
+    count = (steps - 1) // config.observe_every + 2  # step 0, the strides below steps, steps
+    times, ent, mass_tz, mass_na, l1s, resid, outflow = (np.empty(count) for _ in range(7))
     snapshots = []
     sampled_fields = []
     ref_field = reference.field
+    equation = SteadyEquation(model, grid)
+    block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
+    done = 0  # samples evaluated
+    pending = 0  # samples waiting in the block
+
+    def flush() -> None:
+        nonlocal done, pending
+        rows = block[:pending]
+        span = slice(done, done + pending)
+        ent[span] = entropy(kind, rows, ref_field)
+        mass_tz[span] = trapezoid(rows, grid.dx)
+        mass_na[span] = node_average(rows)
+        l1s[span] = l1_distance(rows, ref_field)
+        resid[span] = residual_stationary(rows, equation)
+        outflow[span] = rows[:, -1]
+        if keep_fields:
+            sampled_fields.extend(DensityField(row.copy(), grid) for row in rows)
+        done += pending
+        pending = 0
 
     def sample(step_index: int) -> None:
-        here = DensityField(rho.copy(), grid)
-        times.append(step_index * dt)
-        ent.append(entropy(kind, here, ref_field))
-        mass_tz.append(trapezoid(rho, grid.dx))
-        mass_na.append(float(rho.mean()))
-        l1s.append(l1_distance(here, ref_field))
-        resid.append(residual_stationary(here, model))
-        outflow.append(float(rho[-1]))
-        if keep_fields:
-            sampled_fields.append(here)
+        nonlocal pending
+        times[done + pending] = step_index * dt
+        block[pending] = rho
+        pending += 1
+        if pending == block.shape[0]:
+            flush()
 
     def snapshot(step_index: int) -> None:
         if step_index in snap_lookup:
@@ -481,6 +527,8 @@ def run_transient(
         lo = float(rho.min())
         hi = float(rho.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
+            if pending:  # an observer error of an earlier sample comes first
+                flush()
             t = step_index * dt
             raise DivergenceError(
                 f"non-finite values at step {step_index}, t={t:.6g}", step=step_index, time=t
@@ -528,20 +576,19 @@ def run_transient(
                         time=k * dt,
                     ) from err
             reached(k)
+    if pending:
+        flush()
 
-    def sealed(seq) -> FloatArray:
-        arr = np.asarray(seq, dtype=np.float64)
-        arr.setflags(write=False)
-        return arr
-
+    for series in (times, ent, mass_tz, mass_na, l1s, resid, outflow):
+        series.setflags(write=False)
     return Trajectory(
-        times=sealed(times),
-        entropy=sealed(ent),
-        mass=sealed(mass_tz),
-        node_mass=sealed(mass_na),
-        l1=sealed(l1s),
-        residual=sealed(resid),
-        outflow_density=sealed(outflow),
+        times=times,
+        entropy=ent,
+        mass=mass_tz,
+        node_mass=mass_na,
+        l1=l1s,
+        residual=resid,
+        outflow_density=outflow,
         snapshots=tuple(snapshots),
         sampled_fields=tuple(sampled_fields),
         final=DensityField(rho.copy(), grid),

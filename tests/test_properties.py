@@ -1,0 +1,74 @@
+"""Property tests of one explicit step on random admissible states."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fokker_flux import (  # noqa: E402
+    DensityField,
+    ModelSpec,
+    PotentialSpec,
+    build_grid,
+    cfl_max_dt,
+    step_explicit,
+    trapezoid,
+)
+
+rates = st.floats(0.1, 2.0)
+gammas = st.floats(-3.0, 3.0)
+# dt as a share of its bound, the bound itself included
+fractions = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def states(draw, model_name):
+    """(model, grid, state) with the state admissible for the model."""
+    n = draw(st.integers(8, 64))
+    model = ModelSpec(
+        model_name, draw(rates), draw(rates), PotentialSpec("scaled-linear", gamma=draw(gammas))
+    )
+    top = 1.0 if model.crowded else 5.0
+    # the box edges drawn often: steep profiles are where positivity is tight
+    value = st.one_of(st.sampled_from([0.0, top]), st.floats(0.0, top))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    grid = build_grid(n)
+    return model, grid, DensityField(np.array(values), grid)
+
+
+def positivity_bound(model, grid):
+    """The stability bound, and for model A also its outflow term.
+
+    ``cfl_max_dt`` leaves out the outflow ``beta rho`` of model A's half
+    cell at x = 1: with it, the diagonal of the step matrix there is
+    ``1 - (2 dt/dx)(beta + 1/dx - V'/2)``, nonnegative for
+    ``dt <= dx^2 / (2 + dx (2 beta + sup|V'|))``.
+    """
+    bound = cfl_max_dt(model, grid)
+    if model.model == "A":
+        slope = abs(model.potential.slope)
+        bound = min(bound, grid.dx**2 / (2.0 + grid.dx * (2.0 * model.beta + slope)))
+    return bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(states("A"), fractions)
+def test_model_A_step_keeps_the_discrete_mass_balance(drawn, fraction):
+    model, grid, rho = drawn
+    dt = fraction * cfl_max_dt(model, grid)
+    after = step_explicit(rho, model, dt)
+    gap = (trapezoid(after.values, grid.dx) - trapezoid(rho.values, grid.dx)) - dt * (
+        model.alpha - model.beta * rho.values[-1]
+    )
+    assert abs(gap) <= 1e-13 * (1.0 + rho.values.max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from("ABC").flatmap(states), fractions)
+def test_step_keeps_positivity_and_the_box(drawn, fraction):
+    model, grid, rho = drawn
+    after = step_explicit(rho, model, fraction * positivity_bound(model, grid)).values
+    assert after.min() >= -1e-15 * (1.0 + rho.values.max())
+    if model.crowded:
+        assert after.max() <= 1.0 + 1e-15

@@ -14,6 +14,7 @@ from fokker_flux import (
     PotentialSpec,
     SolverConfig,
     StabilityError,
+    StepFailureError,
     build_grid,
     build_initial,
     cfl_max_dt,
@@ -30,7 +31,8 @@ from fokker_flux import (
     step_implicit_entropy,
     trapezoid,
 )
-from fokker_flux.transient import _ExplicitStepper
+from fokker_flux.transient import _ExplicitStepper, _ImplicitStepper
+from fokker_flux.tridiag import solve_tridiagonal
 
 LINEAR = PotentialSpec("linear")
 ZERO = PotentialSpec("zero")
@@ -243,6 +245,71 @@ def test_implicit_entropy_dissipation_per_step():
         assert e_new <= e_prev + 1e-12
         assert e_new + dt * (flux_part + react_part) <= e_prev + 1e-10
         e_prev = e_new
+
+
+def reference_newton(stepper, rho_old, dt):
+    """Damped Newton evaluating G afresh at every iterate; None on failure."""
+    cfg = stepper.newton
+
+    def norm_of(G):
+        return float(np.max(np.abs(G / stepper.vol)))
+
+    u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
+    for _ in range(cfg.max_iter):
+        G, terms = stepper._residual(u, rho_old, dt)
+        norm = norm_of(G)
+        if norm < cfg.tolerance:
+            return stepper._logistic(u + stepper.v)
+        delta = solve_tridiagonal(*stepper._jacobian(*terms, dt), -G)
+        damping = 1.0
+        for _ in range(cfg.max_backtracks):
+            trial, _ = stepper._residual(u + damping * delta, rho_old, dt)
+            if norm_of(trial) < norm:
+                break
+            damping *= 0.5
+        u = u + damping * delta
+    G, _ = stepper._residual(u, rho_old, dt)
+    return stepper._logistic(u + stepper.v) if norm_of(G) < cfg.tolerance else None
+
+
+@pytest.mark.parametrize(
+    "dt, newton",
+    [
+        (1e-3, NewtonConfig()),
+        (5.0, NewtonConfig()),
+        (5.0, NewtonConfig(max_backtracks=0)),
+        (5.0, NewtonConfig(max_iter=2, tolerance=1e-14, max_backtracks=1)),  # fails
+    ],
+)
+def test_implicit_step_equals_reference_newton(dt, newton, monkeypatch):
+    g = build_grid(60)
+    rng = np.random.default_rng(11)
+    rho_old = rng.uniform(0.02, 0.98, g.n)
+    stepper = _ImplicitStepper(MODEL_C, g, newton)
+    calls = {"_residual": 0, "_jacobian": 0}
+    for name in calls:
+        original = getattr(_ImplicitStepper, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(_ImplicitStepper, name, counted)
+    want = reference_newton(stepper, rho_old, dt)
+    reference_calls = dict(calls)
+    calls.update(_residual=0, _jacobian=0)
+    if want is None:
+        with pytest.raises(StepFailureError):
+            stepper.step(rho_old, dt)
+        return
+    assert np.array_equal(stepper.step(rho_old, dt), want)
+    assert calls["_jacobian"] == reference_calls["_jacobian"]
+    if newton.max_backtracks:
+        # an accepted trial is the next iterate: its G is not evaluated again
+        saved = reference_calls["_jacobian"]
+    else:
+        saved = 0
+    assert calls["_residual"] == reference_calls["_residual"] - saved
 
 
 # ------------------------------------------------------------ run_transient
