@@ -40,6 +40,7 @@ from .errors import (
     DivergenceError,
     InvalidInitialError,
     InvalidModelError,
+    IterationError,
     StabilityError,
     StepFailureError,
 )
@@ -100,7 +101,9 @@ class Trajectory:
     from event to event with the affine propagator, step 0, the samples,
     the snapshots and the final step. Nonnegativity of every A/B iterate
     follows from the certificate checked when the propagator is built
-    (see :meth:`_ExplicitStepper.affine_matrix`).
+    (see :meth:`_ExplicitStepper.affine_matrix`). ``newton_iterations``
+    counts the Thomas solves of the implicit scheme's Newton iterations,
+    ``newton_max_per_step`` the most in one step; both are 0 when explicit.
     """
 
     times: FloatArray
@@ -119,6 +122,8 @@ class Trajectory:
     max_value: float
     steps: int
     dt: float
+    newton_iterations: int = 0
+    newton_max_per_step: int = 0
 
 
 _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
@@ -314,7 +319,8 @@ class _ImplicitStepper:
     The density is recovered through the logistic rho = 1/(1 + e^{-(u+V)}),
     which keeps every iterate strictly inside (0, 1). Face fluxes are
     -f(mean rho) (u_{i+1} - u_i)/dx, reactions as in the crowded model, and
-    the nonlinear system is solved by damped Newton on the cell balances.
+    the nonlinear system is solved by damped Newton on the cell balances;
+    ``solves`` counts the Newton iterations (one Thomas solve each).
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, newton: NewtonConfig):
@@ -329,15 +335,15 @@ class _ImplicitStepper:
         n = grid.n
         self.vol = np.full(n, grid.dx)
         self.vol[0] = self.vol[-1] = 0.5 * grid.dx
+        self.solves = 0
 
     @staticmethod
     def _logistic(z: FloatArray) -> FloatArray:
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        ez = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+
+    def entropy_variable(self, rho: FloatArray) -> FloatArray:
+        return np.log(rho / (1.0 - rho)) - self.v
 
     def _residual(self, u: FloatArray, rho_old: FloatArray, dt: float):
         """Cell balances ``G(u)``, plus the density and face terms :meth:`_jacobian` reuses."""
@@ -380,20 +386,25 @@ class _ImplicitStepper:
     def _norm(self, G: FloatArray) -> float:
         return float(np.max(np.abs(G / self.vol)))
 
-    def step(self, rho_old: FloatArray, dt: float) -> FloatArray:
-        """One backward-Euler step.
+    def _newton(self, u: FloatArray, rho_old: FloatArray, dt: float):
+        """Damped Newton from ``u``: the new density and the accepted iterate.
 
         A line-search trial evaluates only ``G``; the accepted trial point is
         the next Newton iterate, so its ``G`` is not evaluated again.
         """
         cfg = self.newton
-        u = np.log(rho_old / (1.0 - rho_old)) - self.v
         G, terms = self._residual(u, rho_old, dt)
         norm = self._norm(G)
         for _ in range(cfg.max_iter):
             if norm < cfg.tolerance:
-                return terms[0]
-            delta = solve_tridiagonal(*self._jacobian(*terms, dt), -G)
+                return terms[0], u
+            self.solves += 1
+            try:
+                delta = solve_tridiagonal(*self._jacobian(*terms, dt), -G)
+            except IterationError as err:
+                raise StepFailureError(
+                    f"singular Newton Jacobian ({err}; residual {norm:.3e})", residual=norm
+                ) from err
             damping = 1.0
             # max_backtracks trials; without a decrease the next, smaller step is taken as is
             for _ in range(cfg.max_backtracks + 1):
@@ -405,12 +416,41 @@ class _ImplicitStepper:
                 damping *= 0.5
             u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
         if norm < cfg.tolerance:
-            return terms[0]
+            return terms[0], u
         raise StepFailureError(
             f"Newton did not reach {cfg.tolerance} within {cfg.max_iter} iterations "
             f"(residual {norm:.3e})",
             residual=norm,
         )
+
+    def solve(self, rho_old: FloatArray, dt: float, guess: FloatArray | None = None):
+        """One backward-Euler step: the new density and its entropy variable.
+
+        Newton starts from ``guess``, or without one from the entropy
+        variable of ``rho_old`` (in a run, the last accepted iterate up to
+        roundoff); a failure from ``guess`` is retried once from there, the
+        start of a step without a guess. ``solves`` counts the iterations
+        of both attempts.
+        """
+        if guess is not None:
+            try:
+                return self._newton(guess, rho_old, dt)
+            except StepFailureError:
+                pass
+        return self._newton(self.entropy_variable(rho_old), rho_old, dt)
+
+    def step(self, rho_old: FloatArray, dt: float) -> FloatArray:
+        """One backward-Euler step from ``rho_old``: the new density."""
+        return self.solve(rho_old, dt)[0]
+
+
+def _extrapolate(history: list) -> FloatArray:
+    """Newton's start for the next implicit step from the accepted entropy
+    variables of the last two or three steps (oldest first): the linear
+    ``2u^k - u^{k-1}`` or the quadratic ``3u^k - 3u^{k-1} + u^{k-2}``."""
+    if len(history) == 2:
+        return 2.0 * history[1] - history[0]
+    return 3.0 * (history[2] - history[1]) + history[0]
 
 
 def step_implicit_entropy(
@@ -457,7 +497,9 @@ def run_transient(
     Models A and B on the explicit scheme do not step one by one: they jump
     from one event (sample, snapshot or final step) to the next with one
     matrix-vector product by a power of the affine step matrix, built once
-    per jump length (:meth:`_ExplicitStepper.jump_matrices`). Model C steps.
+    per jump length (:meth:`_ExplicitStepper.jump_matrices`). Model C steps;
+    on the implicit scheme each Newton solve starts from the extrapolation
+    of the last accepted entropy variables (:func:`_extrapolate`).
     """
     grid = initial.grid
     initial.validate_for_model(model, strict_box=config.scheme == "implicit-entropy")
@@ -541,6 +583,7 @@ def run_transient(
 
     sample(0)
     snapshot(0)
+    newton_max = 0
     if explicit is not None and not model.crowded:
 
         def events():
@@ -562,19 +605,24 @@ def run_transient(
                     state = powers[jump] @ state
                     rho = state[:-1]
                     reached(k)
-    else:
+    elif explicit is not None:
         for k in range(1, steps + 1):
-            if explicit is not None:
-                explicit.step(rho, dt)
-            else:
-                try:
-                    rho = implicit.step(rho, dt)
-                except StepFailureError as err:
-                    raise StepFailureError(
-                        f"implicit step failed at t={k * dt:.6g}: {err}",
-                        residual=err.residual,
-                        time=k * dt,
-                    ) from err
+            explicit.step(rho, dt)
+            reached(k)
+    else:
+        history = [implicit.entropy_variable(rho)]  # u^0, then the accepted iterates
+        for k in range(1, steps + 1):
+            solves = implicit.solves
+            try:
+                rho, u = implicit.solve(rho, dt, _extrapolate(history) if k > 1 else None)
+            except StepFailureError as err:
+                raise StepFailureError(
+                    f"implicit step failed at t={k * dt:.6g}: {err}",
+                    residual=err.residual,
+                    time=k * dt,
+                ) from err
+            newton_max = max(newton_max, implicit.solves - solves)
+            history = [*history[-2:], u]
             reached(k)
     if pending:
         flush()
@@ -598,4 +646,6 @@ def run_transient(
         max_value=max_value,
         steps=steps,
         dt=dt,
+        newton_iterations=0 if implicit is None else implicit.solves,
+        newton_max_per_step=newton_max,
     )

@@ -16,6 +16,7 @@ from fokker_flux import (
     stationary_closed,
 )
 from fokker_flux.cli import main
+from fokker_flux.experiments import CSV_ROWS, _write_csv
 
 TINY = {
     "model": "A",
@@ -142,6 +143,25 @@ def test_csv_full_precision_roundtrip(tmp_path):
     masses = np.array([float(r.split(",")[2]) for r in rows])
     summary = json.loads((out / "summary.json").read_text())
     assert masses[-1] == summary["final_mass"]  # 17 significant digits survive
+
+
+def test_csv_cells_are_formatted_per_value(tmp_path):
+    # one row format over Python floats writes what a per-cell f"{v:.17g}"
+    # of the numpy values writes, signed zero, subnormals and non-finites included
+    values = np.array([0.0, -0.0, 1 / 3, -2.5e-7, 5e-324, 2.2250738585072014e-308,
+                       1e300, 123456789.0, math.pi, -math.inf, math.nan, 7.0])
+    columns = (values[:6], values[6:])
+    path = tmp_path / "cells.csv"
+    _write_csv(path, "a,b", columns)
+    expected = ["a,b"] + [f"{a:.17g},{b:.17g}" for a, b in zip(*columns)]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    _write_csv(path, "a,b", (values[:0], values[:0]))
+    assert path.read_text(encoding="utf-8") == "a,b\n"
+    # rows are formatted CSV_ROWS at a time: every row once, in order
+    long = np.random.default_rng(2).standard_normal((3, 2 * CSV_ROWS + 3)) * 1e3
+    _write_csv(path, "p,q,r", long)
+    expected = ["p,q,r"] + [",".join(f"{v:.17g}" for v in row) for row in long.T]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
 def test_summary_schema_keys(tmp_path):

@@ -1,0 +1,179 @@
+"""The implicit scheme's extrapolated Newton start against a constant start.
+
+``constant_start_step`` is the step of the implicit scheme as it was before
+runs extrapolated Newton's start in time: damped Newton from the entropy
+variable of the previous state, with the line search that accepts the trial
+point as the next iterate. A run made with it is the reference.
+"""
+
+import numpy as np
+import pytest
+
+import fokker_flux.transient as transient
+from fokker_flux import (
+    IterationError,
+    SolverConfig,
+    StepFailureError,
+    build_grid,
+    build_initial,
+    execute,
+    preset_config,
+    run_transient,
+)
+from fokker_flux.cli import main
+from fokker_flux.domain import InitialSpec, ModelSpec, PotentialSpec
+from fokker_flux.transient import _ImplicitStepper
+
+MODEL_C = ModelSpec("C", 1.0, 0.9, PotentialSpec("linear"))
+
+
+def constant_start_step(stepper, rho_old, dt):
+    cfg = stepper.newton
+    u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
+    G, terms = stepper._residual(u, rho_old, dt)
+    norm = stepper._norm(G)
+    for _ in range(cfg.max_iter):
+        if norm < cfg.tolerance:
+            return terms[0]
+        delta = transient.solve_tridiagonal(*stepper._jacobian(*terms, dt), -G)
+        damping = 1.0
+        for _ in range(cfg.max_backtracks + 1):
+            trial = u + damping * delta
+            trial_G, trial_terms = stepper._residual(trial, rho_old, dt)
+            trial_norm = stepper._norm(trial_G)
+            if trial_norm < norm:
+                break
+            damping *= 0.5
+        u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
+    assert norm < cfg.tolerance
+    return terms[0]
+
+
+def implicit_config(dt, n, t_end):
+    return preset_config("entropy-C", {
+        "scheme": "implicit-entropy", "dt": dt, "n": n, "t_end": t_end, "observe_every": 1,
+    })
+
+
+def run_constant_start(config, monkeypatch):
+    with monkeypatch.context() as patch:
+        def solve(self, rho_old, dt, guess=None):
+            rho = constant_start_step(self, rho_old, dt)
+            return rho, self.entropy_variable(rho)
+
+        patch.setattr(_ImplicitStepper, "solve", solve)
+        return execute(config)
+
+
+@pytest.mark.parametrize(
+    "dt, n, t_end", [(1e-3, 200, 0.5), (2e-2, 100, 12.0), (1e-4, 200, 0.05)]
+)
+def test_extrapolated_start_agrees_with_constant_start(dt, n, t_end, monkeypatch):
+    config = implicit_config(dt, n, t_end)
+    summary, traj = execute(config)
+    ref_summary, ref = run_constant_start(config, monkeypatch)
+    assert traj.steps == ref.steps
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.final.values - ref.final.values)) <= 1e-10
+    assert np.max(np.abs(traj.entropy - ref.entropy)) <= 1e-10
+    assert np.max(np.abs(traj.l1 - ref.l1)) <= 1e-10
+    assert summary.fitted_rate == pytest.approx(ref_summary.fitted_rate, rel=1e-6)
+    # the entropy falls at every step; at dt 2e-2 it reaches roundoff (~1e-17)
+    # near t = 12, where either start moves it by an ulp either way
+    rises = np.diff(traj.entropy)
+    above_roundoff = traj.entropy[1:] > 1e-14
+    assert np.all(rises[above_roundoff] <= 0.0)
+    assert np.all(rises <= 1e-15)
+
+
+def test_newton_counts(monkeypatch):
+    solves = []
+    thomas = transient.solve_tridiagonal
+
+    def counted(*args):
+        solves.append(1)
+        return thomas(*args)
+
+    monkeypatch.setattr(transient, "solve_tridiagonal", counted)
+    # the steps of the initial layer (t < 0.1) take about two solves each,
+    # so the ratio is taken over the whole decay to t = 3.7
+    _, traj = execute(implicit_config(1e-3, 200, 3.7))
+    assert traj.newton_iterations == len(solves)
+    assert traj.newton_iterations / traj.steps <= 1.1
+    assert 1 <= traj.newton_max_per_step < len(solves)
+    _, explicit = execute(preset_config("entropy-C", {"n": 40, "t_end": 0.01}))
+    assert explicit.newton_iterations == explicit.newton_max_per_step == 0
+
+
+def test_failed_extrapolated_start_is_retried_from_previous_state(monkeypatch):
+    g = build_grid(60)
+    rho_old = np.random.default_rng(4).uniform(0.02, 0.98, g.n)
+    stepper = _ImplicitStepper(MODEL_C, g, transient.NewtonConfig())
+    want = constant_start_step(stepper, rho_old, 1e-2)
+    thomas = transient.solve_tridiagonal
+    calls = []
+
+    def singular_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise IterationError("zero pivot in tridiagonal elimination at row 7")
+        return thomas(*args)
+
+    monkeypatch.setattr(transient, "solve_tridiagonal", singular_first)
+    guess = stepper.entropy_variable(rho_old) + 0.1
+    rho, u = stepper.solve(rho_old, 1e-2, guess)
+    assert np.array_equal(rho, want)
+    assert np.array_equal(rho, stepper._logistic(u + stepper.v))
+    assert stepper.solves == len(calls) >= 2
+
+
+def test_run_with_failing_predictor_is_the_constant_start_run(monkeypatch):
+    # every extrapolated start fails (a NaN guess never converges), so every
+    # step is retried from the previous state: the run made without a guess
+    config = implicit_config(1e-2, 40, 0.1)
+    ref_summary, ref = run_constant_start(config, monkeypatch)
+    monkeypatch.setattr(transient, "_extrapolate", lambda h: np.full_like(h[-1], np.nan))
+    _, traj = execute(config)
+    assert np.array_equal(traj.final.values, ref.final.values)
+    assert np.array_equal(traj.entropy, ref.entropy)
+    max_iter = transient.NewtonConfig().max_iter
+    assert traj.newton_max_per_step > max_iter
+    assert traj.newton_iterations > (traj.steps - 1) * max_iter
+
+
+def test_singular_jacobian_in_a_run_carries_the_time():
+    g = build_grid(200)
+    initial = build_initial(InitialSpec("parabola"), g, MODEL_C)
+    config = SolverConfig(dt=0.1, t_end=20.0, scheme="implicit-entropy")
+    with pytest.raises(StepFailureError, match="t=0.1: singular Newton Jacobian") as excinfo:
+        run_transient(MODEL_C, initial, config)
+    assert excinfo.value.time == pytest.approx(0.1)
+    assert np.isfinite(excinfo.value.residual) and excinfo.value.residual > 0.0
+    assert isinstance(excinfo.value.__cause__.__cause__, IterationError)
+
+
+def test_cli_singular_jacobian_exits_3_with_the_time(tmp_path, capsys):
+    code = main([
+        "preset", "entropy-C", "--out", str(tmp_path / "out"),
+        "--set", 'scheme="implicit-entropy"', "--set", "dt=0.1", "--set", "t_end=20.0",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "t=0.1" in err and "zero pivot" in err
+
+
+def branched_logistic(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_logistic_equals_the_branched_form():
+    rng = np.random.default_rng(8)
+    for scale in np.logspace(-3, 2, 20):
+        z = scale * rng.standard_normal(500)
+        z[:3] = (0.0, -0.0, scale)
+        assert np.array_equal(_ImplicitStepper._logistic(z), branched_logistic(z))
