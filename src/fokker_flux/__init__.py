@@ -9,12 +9,14 @@ eigenvalue rate predictions.
 
 from .domain import (
     DensityField,
+    Discretization,
     Grid,
     InitialSpec,
     ModelSpec,
     PotentialSpec,
     build_grid,
     build_initial,
+    discretize,
     eval_potential,
     node_average,
     trapezoid,
@@ -30,8 +32,6 @@ from .entropy import (
     fit_exponential_rate,
     k1_bound,
     l1_distance,
-    mass,
-    mass_node_average,
     phi_lemma,
     predicted_rate,
 )

@@ -64,15 +64,18 @@ def _parse_overrides(pairs):
     return overrides
 
 
-def _cmd_run(args) -> int:
-    config = _load_config(args.config)
-    summary = run(config, out_dir=args.out)
-    out = args.out if args.out is not None else config.outputs
-    print(f"run finished: {summary.steps} steps, wrote artifacts to {out}")
+def _print_summary(head: str, summary, out: str) -> None:
+    print(f"{head}: {summary.steps} steps, wrote artifacts to {out}")
     print(f"wall clock: {summary.wall_clock_seconds:.3f} s")
     if summary.fitted_rate is not None:
         print(f"fitted rate: {summary.fitted_rate:.6g} "
               f"(predicted {summary.predicted_rate:.6g}, {summary.predicted_provenance})")
+
+
+def _cmd_run(args) -> int:
+    config = _load_config(args.config)
+    summary = run(config, out_dir=args.out)
+    _print_summary("run finished", summary, args.out if args.out is not None else config.outputs)
     return EXIT_OK
 
 
@@ -88,12 +91,7 @@ def _cmd_preset(args) -> int:
         print(f"wrote artifacts to {out}")
         return EXIT_OK
     config = preset_config(name, overrides or None)
-    summary = run(config, out_dir=out)
-    print(f"preset {name}: {summary.steps} steps, wrote artifacts to {out}")
-    print(f"wall clock: {summary.wall_clock_seconds:.3f} s")
-    if summary.fitted_rate is not None:
-        print(f"fitted rate: {summary.fitted_rate:.6g} "
-              f"(predicted {summary.predicted_rate:.6g}, {summary.predicted_provenance})")
+    _print_summary(f"preset {name}", run(config, out_dir=out), out)
     return EXIT_OK
 
 

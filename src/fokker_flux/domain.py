@@ -67,6 +67,13 @@ class Grid:
         """Midpoints between adjacent nodes (n - 1 interior faces)."""
         return _readonly(0.5 * (self.nodes[:-1] + self.nodes[1:]))
 
+    @property
+    def volumes(self) -> FloatArray:
+        """Width of the cell each node owns: dx, and dx/2 for the two boundary half cells."""
+        vol = np.full(self.n, self.dx)
+        vol[0] = vol[-1] = 0.5 * self.dx
+        return _readonly(vol)
+
 
 def build_grid(n: int) -> Grid:
     """Build the uniform grid with ``n >= 3`` nodes.
@@ -122,21 +129,8 @@ class PotentialSpec:
         raise InvalidModelError("tabulated potential has no constant slope")
 
 
-@dataclass(frozen=True)
-class PotentialValues:
-    """Potential evaluated on a grid: nodal V, face V and face V'."""
-
-    nodes: FloatArray
-    faces: FloatArray
-    face_slope: FloatArray
-
-    @property
-    def max_abs_slope(self) -> float:
-        return float(np.max(np.abs(self.face_slope))) if self.face_slope.size else 0.0
-
-
-def eval_potential(spec: PotentialSpec, grid: Grid) -> PotentialValues:
-    """Evaluate V at nodes and V, V' at face midpoints.
+def eval_potential(spec: PotentialSpec, grid: Grid) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """V at the nodes, V at the face midpoints and V' at the face midpoints.
 
     For the linear kinds the face values are exact; a tabulated potential is
     interpolated linearly, so its face value is the mean of the neighbours
@@ -157,7 +151,7 @@ def eval_potential(spec: PotentialSpec, grid: Grid) -> PotentialValues:
         nodes = g * x
         faces = g * xf
         face_slope = np.full(grid.n - 1, g)
-    return PotentialValues(_readonly(nodes), _readonly(faces), _readonly(face_slope))
+    return _readonly(nodes), _readonly(faces), _readonly(face_slope)
 
 
 @dataclass(frozen=True)
@@ -192,6 +186,46 @@ class ModelSpec:
     @property
     def crowded(self) -> bool:
         return self.model == "C"
+
+
+@dataclass(frozen=True)
+class Discretization:
+    """One model on one grid: every array the schemes read that depends on V.
+
+    Built by :func:`discretize`, once per run; the explicit and implicit
+    steppers, the steady residual, the stationary solves and the rate
+    predictions all read it instead of evaluating the potential again.
+    """
+
+    model: ModelSpec
+    grid: Grid
+    v: FloatArray  # V at the nodes
+    v_faces: FloatArray  # V at the n - 1 face midpoints
+    slope: FloatArray  # V' at the faces
+    exp_neg_v: FloatArray  # exp(-V) at the nodes
+    exp_v: FloatArray  # exp(V) at the nodes
+    exp_v_faces: FloatArray  # exp(V) at the faces
+    volumes: FloatArray  # Grid.volumes
+    max_dt: float  # stability bound of the explicit scheme
+
+
+def discretize(model: ModelSpec, grid: Grid) -> Discretization:
+    """Evaluate the model's potential on the grid and everything built from it.
+
+    ``max_dt`` is the explicit stability bound ``dx^2 / (2 + dx sup|V'|)``:
+    the drift contribution is evaluated from the face slopes; the reaction
+    terms only tighten the bound by O(dx^2) and are absorbed into it.
+    """
+    v, v_faces, slope = eval_potential(model.potential, grid)
+    max_dt = grid.dx**2 / (2.0 + grid.dx * float(np.max(np.abs(slope))))
+    return Discretization(
+        model, grid, v, v_faces, slope,
+        exp_neg_v=_readonly(np.exp(-v)),
+        exp_v=_readonly(np.exp(v)),
+        exp_v_faces=_readonly(np.exp(v_faces)),
+        volumes=grid.volumes,
+        max_dt=max_dt,
+    )
 
 
 @dataclass(frozen=True)

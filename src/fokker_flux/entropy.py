@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DensityField, FloatArray, ModelSpec, eval_potential, node_average, trapezoid
+from .domain import DensityField, FloatArray, ModelSpec, discretize, trapezoid
 from .errors import EntropyDomainError, FitError, UndefinedConstantError
 from .spectral import symmetric_k
 
@@ -93,21 +93,6 @@ def entropy(kind: str, rho, rho_inf: DensityField):
     else:
         integrand = _xlogx_ratio(vals, ref) + _xlogx_ratio(1.0 - vals, 1.0 - ref)
     return trapezoid(integrand, rho_inf.grid.dx)
-
-
-def mass(rho: DensityField) -> float:
-    """Trapezoid mass of the field."""
-    return trapezoid(rho.values, rho.grid.dx)
-
-
-def mass_node_average(rho: DensityField) -> float:
-    """Node-average mass (every node weighted equally).
-
-    Slightly biased at the boundaries compared to :func:`mass`; this is the
-    convention behind the reference mass tabulations reproduced by the mass
-    evolution experiments.
-    """
-    return node_average(rho.values)
 
 
 def l1_distance(rho, rho_inf: DensityField):
@@ -203,8 +188,7 @@ def predicted_rate(
                     "to bound the density"
                 )
             upper_bound = max(float(ref.max()), float(rho0.values.max()))
-        pv = eval_potential(model.potential, rho_inf.grid)
-        k2 = float(np.exp(-pv.nodes.max()))
+        k2 = float(discretize(model, rho_inf.grid).exp_neg_v.min())
         k1 = k1_bound(upper_bound, float(ref.min()))
         return RatePrediction(4.0 * model.beta * k2 / k1, "model-B-formula")
     ratio = (1.0 - ref) / ref

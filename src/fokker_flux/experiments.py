@@ -28,13 +28,13 @@ from .domain import (
     PotentialSpec,
     build_grid,
     build_initial,
+    node_average,
+    trapezoid,
 )
 from .entropy import (
     RateReport,
     default_fit_window,
     fit_exponential_rate,
-    mass,
-    mass_node_average,
     predicted_rate,
 )
 from .errors import ConfigError, FitError, FokkerFluxError
@@ -310,42 +310,19 @@ def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, T
         final_sup_distance=float(
             np.max(np.abs(trajectory.final.values - reference.field.values))
         ),
-        final_mass=mass(trajectory.final),
-        final_mass_node_average=mass_node_average(trajectory.final),
-        stationary_mass_closed=mass(closed.field),
-        stationary_mass_numeric=mass(reference.field),
+        final_mass=trapezoid(trajectory.final.values, grid.dx),
+        final_mass_node_average=node_average(trajectory.final.values),
+        stationary_mass_closed=trapezoid(closed.field.values, grid.dx),
+        stationary_mass_numeric=trapezoid(reference.field.values, grid.dx),
         eigen=eigen,
         steps=trajectory.steps,
         dt=dt,
         min_value=trajectory.min_value,
         max_value=trajectory.max_value,
-        config=dict(config.raw) if config.raw else _config_dict(config),
+        config=dict(config.raw),
         wall_clock_seconds=time.perf_counter() - started,
     )
     return summary, trajectory
-
-
-def _config_dict(config: RunConfig) -> dict:
-    d = {
-        "model": config.model,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "potential": config.potential,
-        "initial": config.initial,
-        "n": config.n,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "snapshot_times": list(config.snapshot_times),
-        "observe_every": config.observe_every,
-        "scheme": config.scheme,
-        "outputs": config.outputs,
-        "emit": list(config.emit),
-    }
-    if config.potential == "scaled-linear":
-        d["gamma"] = config.gamma
-    if config.potential_values is not None:
-        d["potential"] = {"kind": "tabulated", "values": list(config.potential_values)}
-    return d
 
 
 def _write_csv(path: Path, header: str, columns: Sequence) -> None:
@@ -658,8 +635,7 @@ def gamma_sweep(
     for g in gs:
         if not math.isfinite(g):
             raise ConfigError(f"gamma values must be finite, got {g}")
-    base_dict = _config_dict(base)
-    payloads = [(base_dict, g) for g in sorted(gs)]
+    payloads = [(base.raw, g) for g in sorted(gs)]
     rows: list[SweepRow] = []
     failure: Optional[BaseException] = None
     workers = _sweep_workers_cap(len(payloads))

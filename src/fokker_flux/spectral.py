@@ -152,8 +152,7 @@ def discrete_min_rayleigh(
     diag[0] += w0
     diag[-1] += w1
     off = np.full(n - 1, -1.0 / dx)
-    lumped = np.full(n, dx)
-    lumped[0] = lumped[-1] = 0.5 * dx
+    lumped = grid.volumes
     phi = np.ones(n)
     lam_old = math.inf
     for _ in range(max_iter):

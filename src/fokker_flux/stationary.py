@@ -6,19 +6,18 @@ to the same fields; tests cross-check one against the other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import (
     DensityField,
+    Discretization,
     FloatArray,
     Grid,
     ModelSpec,
     PotentialSpec,
-    eval_potential,
-    trapezoid,
+    discretize,
 )
 from .errors import InvalidModelError
 from .tridiag import solve_refined
@@ -36,32 +35,24 @@ class StationarySolution:
     residual: float
 
 
-def _check_rates(alpha: float, beta: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise InvalidModelError(f"closed form needs alpha > 0, got {alpha}")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise InvalidModelError(f"closed form needs beta >= beta_0 > 0, got {beta}")
-
-
-def _cumulative_exp_neg(potential: PotentialSpec, grid: Grid):
-    """Cumulative integral of exp(-V) from 0 to each node, plus exp(-V(1)).
+def _cumulative_exp_neg(d: Discretization) -> FloatArray:
+    """Integral of exp(-V) from 0 to each node.
 
     Exact for the linear kinds; trapezoid cumulative sums otherwise.
     """
-    pv = eval_potential(potential, grid)
-    if potential.kind in ("linear", "zero", "scaled-linear"):
-        g = potential.slope
-        x = grid.nodes
-        if abs(g) < 1e-14:
-            cum = x.copy()
-        else:
-            cum = (1.0 - np.exp(-g * x)) / g
-        return cum, float(np.exp(-g)), pv
-    emv = np.exp(-pv.nodes)
+    grid, emv = d.grid, d.exp_neg_v
+    if d.model.potential.kind != "tabulated":
+        g = d.model.potential.slope
+        return grid.nodes.copy() if abs(g) < 1e-14 else (1.0 - emv) / g
     cum = np.empty(grid.n)
     cum[0] = 0.0
     np.cumsum(0.5 * grid.dx * (emv[:-1] + emv[1:]), out=cum[1:])
-    return cum, float(emv[-1]), pv
+    return cum
+
+
+def _solution(d: Discretization, values: FloatArray, method: str) -> StationarySolution:
+    residual = float(np.max(np.abs(nodal_residual(d, values))))
+    return StationarySolution(DensityField(values, d.grid), method, d.model, residual)
 
 
 def stationary_modelA_closed(
@@ -74,25 +65,18 @@ def stationary_modelA_closed(
     ``C = alpha * (exp(-V(1))/beta + int_0^1 exp(-V))``. The outflow value
     is then ``rho(1) = alpha / beta`` exactly.
     """
-    _check_rates(alpha, beta)
-    cum, emv1, pv = _cumulative_exp_neg(potential, grid)
-    c = alpha * (emv1 / beta + cum[-1])
-    values = (c - alpha * cum) * np.exp(pv.nodes)
-    model = ModelSpec("A", alpha, beta, potential)
-    field = DensityField(values, grid)
-    return StationarySolution(field, "closed-form", model, _sup_residual(field, model))
+    d = discretize(ModelSpec("A", alpha, beta, potential), grid)
+    cum = _cumulative_exp_neg(d)
+    c = alpha * (d.exp_neg_v[-1] / beta + cum[-1])
+    return _solution(d, (c - alpha * cum) * d.exp_v, "closed-form")
 
 
 def stationary_modelB_closed(
     alpha: float, beta: float, potential: PotentialSpec, grid: Grid
 ) -> StationarySolution:
     """Closed-form steady state of the bulk-exchange model: (alpha/beta) e^V."""
-    _check_rates(alpha, beta)
-    pv = eval_potential(potential, grid)
-    values = (alpha / beta) * np.exp(pv.nodes)
-    model = ModelSpec("B", alpha, beta, potential)
-    field = DensityField(values, grid)
-    return StationarySolution(field, "closed-form", model, _sup_residual(field, model))
+    d = discretize(ModelSpec("B", alpha, beta, potential), grid)
+    return _solution(d, (alpha / beta) * d.exp_v, "closed-form")
 
 
 def stationary_modelC_closed(
@@ -103,12 +87,8 @@ def stationary_modelC_closed(
     Evaluated as a logistic, ``1 / (1 + (beta/alpha) exp(-V))``, which stays
     stable for large potentials.
     """
-    _check_rates(alpha, beta)
-    pv = eval_potential(potential, grid)
-    values = 1.0 / (1.0 + (beta / alpha) * np.exp(-pv.nodes))
-    model = ModelSpec("C", alpha, beta, potential)
-    field = DensityField(values, grid)
-    return StationarySolution(field, "closed-form", model, _sup_residual(field, model))
+    d = discretize(ModelSpec("C", alpha, beta, potential), grid)
+    return _solution(d, 1.0 / (1.0 + (beta / alpha) * d.exp_neg_v), "closed-form")
 
 
 def stationary_closed(model: ModelSpec, grid: Grid) -> StationarySolution:
@@ -131,11 +111,14 @@ def slotboom_system(model: ModelSpec, grid: Grid):
 
     Returns ``(lower, diag, upper, rhs)``.
     """
+    return _slotboom(discretize(model, grid))
+
+
+def _slotboom(d: Discretization):
+    model, n = d.model, d.grid.n
     if model.model not in ("A", "B"):
         raise InvalidModelError("the Slotboom solve covers the linear models A and B")
-    n = grid.n
-    pv = eval_potential(model.potential, grid)
-    w = np.exp(pv.faces) / grid.dx
+    w = d.exp_v_faces / d.grid.dx
     diag = np.zeros(n)
     rhs = np.zeros(n)
     lower = -w.copy()
@@ -144,12 +127,10 @@ def slotboom_system(model: ModelSpec, grid: Grid):
     diag[1:] += w
     if model.model == "A":
         rhs[0] = model.alpha
-        diag[-1] += model.beta * np.exp(pv.nodes[-1])
+        diag[-1] += model.beta * d.exp_v[-1]
     else:
-        vol = np.full(n, grid.dx)
-        vol[0] = vol[-1] = 0.5 * grid.dx
-        diag += vol * model.beta
-        rhs[:] = vol * model.alpha
+        diag += d.volumes * model.beta
+        rhs[:] = d.volumes * model.alpha
     return lower, diag, upper, rhs
 
 
@@ -166,74 +147,49 @@ def stationary_numeric(
     """
     if model.model == "C":
         return stationary_modelC_closed(model.alpha, model.beta, model.potential, grid)
-    lower, diag, upper, rhs = slotboom_system(model, grid)
-    u = solve_refined(lower, diag, upper, rhs, guess=guess)
-    pv = eval_potential(model.potential, grid)
-    field = DensityField(u * np.exp(pv.nodes), grid)
-    return StationarySolution(field, "numeric", model, _sup_residual(field, model))
+    d = discretize(model, grid)
+    u = solve_refined(*_slotboom(d), guess=guess)
+    return _solution(d, u * d.exp_v, "numeric")
 
 
-class SteadyEquation:
-    """The discrete steady equation of one model on one grid.
+def nodal_residual(d: Discretization, rho: FloatArray) -> FloatArray:
+    """Nodal residual of the discrete steady equation at ``rho``: one field,
+    or an ``(m, n)`` block row by row.
 
     Face fluxes use the symmetrizing variable of each model: the Slotboom
     variable ``rho e^{-V}`` for A and B, the entropy variable
     ``log(rho/(1-rho)) - V`` (with mobility at the face mean) for C.
     Boundary faces carry the imposed fluxes; boundary rows balance over
     half cells, which makes them first-order while interior rows are
-    second-order accurate. ``exp(-V)``, ``exp(V)`` at the faces and the cell
-    volumes are built once, so a run evaluates it on every observer block
-    without rebuilding them.
+    second-order accurate.
     """
-
-    def __init__(self, model: ModelSpec, grid: Grid):
-        pv = eval_potential(model.potential, grid)
-        self.model = model
-        self.grid = grid
-        self.v = pv.nodes
-        self.emv = np.exp(-pv.nodes)
-        self.neg_ev_faces = -np.exp(pv.faces)
-        self.vol = np.full(grid.n, grid.dx)
-        self.vol[0] = self.vol[-1] = 0.5 * grid.dx
-
-    def residual(self, rho: FloatArray) -> FloatArray:
-        """Nodal residual at ``rho``: one field, or an ``(m, n)`` block row by row."""
-        model, dx = self.model, self.grid.dx
-        if model.model in ("A", "B"):
-            u = rho * self.emv
-            flux = self.neg_ev_faces * (u[..., 1:] - u[..., :-1]) / dx
+    model, dx = d.model, d.grid.dx
+    if model.model in ("A", "B"):
+        u = rho * d.exp_neg_v
+        flux = -d.exp_v_faces * (u[..., 1:] - u[..., :-1]) / dx
+    else:
+        clipped = np.clip(rho, _BOX_CLIP, 1.0 - _BOX_CLIP)
+        u = np.log(clipped / (1.0 - clipped)) - d.v
+        mean = 0.5 * (rho[..., :-1] + rho[..., 1:])
+        flux = -(mean * (1.0 - mean)) * (u[..., 1:] - u[..., :-1]) / dx
+    faces = np.empty(rho.shape[:-1] + (d.grid.n + 1,))
+    faces[..., 1:-1] = flux
+    if model.model == "A":
+        faces[..., 0] = model.alpha
+        faces[..., -1] = model.beta * rho[..., -1]
+        reaction = 0.0
+    else:
+        faces[..., 0] = faces[..., -1] = 0.0
+        if model.model == "B":
+            reaction = model.alpha - model.beta * rho * d.exp_neg_v
         else:
-            clipped = np.clip(rho, _BOX_CLIP, 1.0 - _BOX_CLIP)
-            u = np.log(clipped / (1.0 - clipped)) - self.v
-            mean = 0.5 * (rho[..., :-1] + rho[..., 1:])
-            flux = -(mean * (1.0 - mean)) * (u[..., 1:] - u[..., :-1]) / dx
-        faces = np.empty(rho.shape[:-1] + (self.grid.n + 1,))
-        faces[..., 1:-1] = flux
-        if model.model == "A":
-            faces[..., 0] = model.alpha
-            faces[..., -1] = model.beta * rho[..., -1]
-            reaction = 0.0
-        else:
-            faces[..., 0] = faces[..., -1] = 0.0
-            if model.model == "B":
-                reaction = model.alpha - model.beta * rho * self.emv
-            else:
-                reaction = model.alpha * (1.0 - rho) - model.beta * rho * self.emv
-        return (faces[..., 1:] - faces[..., :-1]) / self.vol - reaction
+            reaction = model.alpha * (1.0 - rho) - model.beta * rho * d.exp_neg_v
+    return (faces[..., 1:] - faces[..., :-1]) / d.volumes - reaction
 
 
 def steady_residual(field: DensityField, model: ModelSpec) -> FloatArray:
     """Nodal residual of the discrete steady equation, in symmetrized form.
 
-    See :class:`SteadyEquation` for the discretization.
+    See :func:`nodal_residual` for the discretization.
     """
-    return SteadyEquation(model, field.grid).residual(field.values)
-
-
-def _sup_residual(field: DensityField, model: ModelSpec) -> float:
-    return float(np.max(np.abs(steady_residual(field, model))))
-
-
-def stationary_mass(solution: StationarySolution) -> float:
-    """Trapezoid mass of a stationary field."""
-    return trapezoid(solution.field.values, solution.field.grid.dx)
+    return nodal_residual(discretize(model, field.grid), field.values)

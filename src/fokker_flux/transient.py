@@ -27,10 +27,11 @@ import numpy as np
 from .blas import serial_blas
 from .domain import (
     DensityField,
+    Discretization,
     FloatArray,
     Grid,
     ModelSpec,
-    eval_potential,
+    discretize,
     node_average,
     trapezoid,
 )
@@ -44,7 +45,7 @@ from .errors import (
     StabilityError,
     StepFailureError,
 )
-from .stationary import SteadyEquation, StationarySolution, stationary_numeric
+from .stationary import StationarySolution, nodal_residual, stationary_numeric
 from .tridiag import solve_tridiagonal
 
 
@@ -135,26 +136,17 @@ OBSERVER_BLOCK = 32
 
 
 def cfl_max_dt(model: ModelSpec, grid: Grid) -> float:
-    """Stability bound dx^2 / (2 + dx sup|V'|) for the explicit scheme.
-
-    The drift contribution is evaluated from the face slopes; the reaction
-    terms only tighten the bound by O(dx^2) and are absorbed into it.
-    """
-    pv = eval_potential(model.potential, grid)
-    return grid.dx**2 / (2.0 + grid.dx * pv.max_abs_slope)
+    """Stability bound dx^2 / (2 + dx sup|V'|) for the explicit scheme
+    (:attr:`~fokker_flux.domain.Discretization.max_dt`)."""
+    return discretize(model, grid).max_dt
 
 
-def _check_cfl(model: ModelSpec, grid: Grid, dt: float) -> None:
-    limit = cfl_max_dt(model, grid)
-    if dt > limit:
+def _check_cfl(d: Discretization, dt: float) -> None:
+    if dt > d.max_dt:
         raise StabilityError(
-            f"dt={dt} exceeds the explicit stability bound {limit:.6e}; "
+            f"dt={dt} exceeds the explicit stability bound {d.max_dt:.6e}; "
             "lower dt (run configurations accept dt='auto' for half the bound)"
         )
-
-
-def _mobility(model: ModelSpec, mean: FloatArray) -> FloatArray:
-    return mean * (1.0 - mean) if model.crowded else mean
 
 
 def face_flux(rho: DensityField, model: ModelSpec, face: int) -> float:
@@ -165,20 +157,13 @@ def face_flux(rho: DensityField, model: ModelSpec, face: int) -> float:
 
 
 def flux_field(rho: DensityField, model: ModelSpec) -> FluxField:
-    """All face fluxes, with the imposed boundary values at the two ends."""
-    grid = rho.grid
-    pv = eval_potential(model.potential, grid)
-    vals = rho.values
-    mean = 0.5 * (vals[:-1] + vals[1:])
-    faces = np.empty(grid.n + 1)
-    faces[1:-1] = -(vals[1:] - vals[:-1]) / grid.dx + _mobility(model, mean) * pv.face_slope
-    if model.model == "A":
-        faces[0] = model.alpha
-        faces[-1] = model.beta * vals[-1]
-    else:
-        faces[0] = faces[-1] = 0.0
+    """All face fluxes, with the imposed boundary values at the two ends.
+
+    The faces the explicit step computes (:meth:`_ExplicitStepper.fluxes`).
+    """
+    faces = _ExplicitStepper(discretize(model, rho.grid)).fluxes(rho.values).copy()
     faces.setflags(write=False)
-    return FluxField(faces, grid)
+    return FluxField(faces, rho.grid)
 
 
 def residual_stationary(rho, model):
@@ -186,55 +171,60 @@ def residual_stationary(rho, model):
 
     ``rho`` is a DensityField and ``model`` its ModelSpec, or ``rho`` is an
     ``(m, n)`` block of nodal values and ``model`` the run's
-    :class:`~fokker_flux.stationary.SteadyEquation` (one norm per row). See
-    :func:`fokker_flux.stationary.steady_residual` for the exact form
+    :class:`~fokker_flux.domain.Discretization` (one norm per row). See
+    :func:`fokker_flux.stationary.nodal_residual` for the exact form
     (symmetrized fluxes, half-cell boundary rows).
     """
     if isinstance(rho, DensityField):
-        model, rho = SteadyEquation(model, rho.grid), rho.values
-    sup = np.max(np.abs(model.residual(rho)), axis=-1)
+        model, rho = discretize(model, rho.grid), rho.values
+    sup = np.max(np.abs(nodal_residual(model, rho)), axis=-1)
     return float(sup) if sup.ndim == 0 else sup
 
 
 class _ExplicitStepper:
-    """Preallocated one-step kernel shared by step_explicit and run_transient."""
+    """Preallocated one-step kernel shared by step_explicit, run_transient and flux_field."""
 
-    def __init__(self, model: ModelSpec, grid: Grid):
-        self.model = model
-        self.grid = grid
-        pv = eval_potential(model.potential, grid)
-        n = grid.n
-        self.inv_dx = 1.0 / grid.dx
-        self.vslope = pv.face_slope.copy()
-        self.inv_vol = np.full(n, self.inv_dx)
-        self.inv_vol[0] = self.inv_vol[-1] = 2.0 * self.inv_dx
+    def __init__(self, d: Discretization):
+        model = self.model = d.model
+        self.d = d
+        n = d.grid.n
+        self.inv_dx = 1.0 / d.grid.dx
+        self.inv_vol = 1.0 / d.volumes
         self.faces = np.zeros(n + 1)
         self.mean = np.empty(n - 1)
         self.tmp = np.empty(n - 1)
         self.div = np.empty(n)
         self.react = np.empty(n) if model.model in ("B", "C") else None
         if model.model == "B":
-            self.decay = model.beta * np.exp(-pv.nodes)
+            self.decay = model.beta * d.exp_neg_v
         elif model.model == "C":
-            self.decay = model.alpha + model.beta * np.exp(-pv.nodes)
+            self.decay = model.alpha + model.beta * d.exp_neg_v
         else:
             self.decay = None
 
-    def step(self, rho: FloatArray, dt: float) -> None:
-        """Advance ``rho`` in place by one explicit step."""
+    def fluxes(self, rho: FloatArray) -> FloatArray:
+        """Face fluxes at ``rho``, boundary faces included, written into ``faces``.
+
+        Interior faces carry ``-(rho_{i+1} - rho_i)/dx + f(mean) V'``.
+        """
         faces = self.faces
         np.add(rho[:-1], rho[1:], out=self.mean)
         self.mean *= 0.5
         if self.model.crowded:
             np.multiply(self.mean, self.mean, out=self.tmp)
             np.subtract(self.mean, self.tmp, out=self.mean)
-        np.multiply(self.mean, self.vslope, out=self.mean)
+        np.multiply(self.mean, self.d.slope, out=self.mean)
         np.subtract(rho[:-1], rho[1:], out=self.tmp)
         self.tmp *= self.inv_dx
         np.add(self.tmp, self.mean, out=faces[1:-1])
         if self.model.model == "A":
             faces[0] = self.model.alpha
             faces[-1] = self.model.beta * rho[-1]
+        return faces
+
+    def step(self, rho: FloatArray, dt: float) -> None:
+        """Advance ``rho`` in place by one explicit step."""
+        faces = self.fluxes(rho)
         np.subtract(faces[1:], faces[:-1], out=self.div)
         self.div *= self.inv_vol
         self.div *= dt
@@ -258,7 +248,7 @@ class _ExplicitStepper:
         and ``c >= 0``: with that certificate every iterate of nonnegative
         data is nonnegative.
         """
-        n = self.grid.n
+        n = self.d.grid.n
         out = np.zeros((n + 1, n + 1))
         c = np.zeros(n)
         self.step(c, dt)
@@ -276,7 +266,7 @@ class _ExplicitStepper:
             raise StabilityError(
                 f"dt={dt} breaks the positivity bound T >= 0 (to -{_ROUNDOFF:g}), c >= 0 "
                 f"of the explicit step rho -> T rho + c: T[{i}, {j}] = {T[i, j]:.3e}, "
-                f"min c = {c.min():.3e} (stability bound {cfl_max_dt(self.model, self.grid):.6e}); "
+                f"min c = {c.min():.3e} (stability bound {self.d.max_dt:.6e}); "
                 "lower dt (run configurations accept dt='auto' for half the bound)"
             )
         return out
@@ -304,10 +294,10 @@ class _ExplicitStepper:
 
 def step_explicit(rho: DensityField, model: ModelSpec, dt: float) -> DensityField:
     """One explicit step; requires ``dt <= cfl_max_dt(model, grid)``."""
-    _check_cfl(model, rho.grid, dt)
-    stepper = _ExplicitStepper(model, rho.grid)
+    d = discretize(model, rho.grid)
+    _check_cfl(d, dt)
     work = rho.values.copy()
-    stepper.step(work, dt)
+    _ExplicitStepper(d).step(work, dt)
     if not np.all(np.isfinite(work)):
         raise DivergenceError("non-finite values after one explicit step")
     return DensityField(work, rho.grid)
@@ -323,18 +313,13 @@ class _ImplicitStepper:
     ``solves`` counts the Newton iterations (one Thomas solve each).
     """
 
-    def __init__(self, model: ModelSpec, grid: Grid, newton: NewtonConfig):
-        if model.model != "C":
+    def __init__(self, d: Discretization, newton: NewtonConfig):
+        if d.model.model != "C":
             raise InvalidModelError("the entropy-variable scheme applies to model C")
-        self.model = model
-        self.grid = grid
+        self.model = d.model
+        self.dx = d.grid.dx
         self.newton = newton
-        pv = eval_potential(model.potential, grid)
-        self.v = pv.nodes.copy()
-        self.emv = np.exp(-self.v)
-        n = grid.n
-        self.vol = np.full(n, grid.dx)
-        self.vol[0] = self.vol[-1] = 0.5 * grid.dx
+        self.v, self.emv, self.vol = d.v, d.exp_neg_v, d.volumes
         self.solves = 0
 
     @staticmethod
@@ -352,7 +337,7 @@ class _ImplicitStepper:
         mean = 0.5 * (rho[:-1] + rho[1:])
         mob = mean * (1.0 - mean)
         du = u[1:] - u[:-1]
-        flux = -mob * du / self.grid.dx
+        flux = -mob * du / self.dx
         div = np.empty_like(rho)
         div[0] = flux[0]
         div[1:-1] = flux[1:] - flux[:-1]
@@ -364,8 +349,7 @@ class _ImplicitStepper:
     def _jacobian(self, rho, mean, mob, du, dt: float):
         """Tridiagonal Jacobian ``(lower, diag, upper)`` of ``G`` in u, from the
         terms :meth:`_residual` returns beside ``G``."""
-        model, vol = self.model, self.vol
-        dx = self.grid.dx
+        model, vol, dx = self.model, self.vol, self.dx
         sig = rho * (1.0 - rho)
         dmob = 1.0 - 2.0 * mean
         dflux_left = (-dmob * 0.5 * sig[:-1] * du + mob) / dx
@@ -467,7 +451,7 @@ def step_implicit_entropy(
     vals = rho.values
     if np.any(vals <= 0.0) or np.any(vals >= 1.0):
         raise InvalidInitialError("implicit scheme needs the state strictly inside (0, 1)")
-    stepper = _ImplicitStepper(model, rho.grid, newton or NewtonConfig())
+    stepper = _ImplicitStepper(discretize(model, rho.grid), newton or NewtonConfig())
     return DensityField(stepper.step(vals, dt), rho.grid)
 
 
@@ -509,13 +493,14 @@ def run_transient(
 
     dt = config.dt
     steps = int(round(config.t_end / dt))
+    d = discretize(model, grid)
     if config.scheme == "explicit":
-        _check_cfl(model, grid, dt)
-        explicit = _ExplicitStepper(model, grid)
+        _check_cfl(d, dt)
+        explicit = _ExplicitStepper(d)
         implicit = None
     else:
         explicit = None
-        implicit = _ImplicitStepper(model, grid, config.newton)
+        implicit = _ImplicitStepper(d, config.newton)
 
     snap_lookup: dict[int, float] = {}
     for t_req in snapshot_times:
@@ -529,7 +514,6 @@ def run_transient(
     snapshots = []
     sampled_fields = []
     ref_field = reference.field
-    equation = SteadyEquation(model, grid)
     block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
     done = 0  # samples evaluated
     pending = 0  # samples waiting in the block
@@ -542,7 +526,7 @@ def run_transient(
         mass_tz[span] = trapezoid(rows, grid.dx)
         mass_na[span] = node_average(rows)
         l1s[span] = l1_distance(rows, ref_field)
-        resid[span] = residual_stationary(rows, equation)
+        resid[span] = residual_stationary(rows, d)
         outflow[span] = rows[:, -1]
         if keep_fields:
             sampled_fields.extend(DensityField(row.copy(), grid) for row in rows)

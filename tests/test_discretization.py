@@ -1,0 +1,111 @@
+"""One Discretization per (model, grid), read by every scheme."""
+
+import numpy as np
+import pytest
+
+import fokker_flux.domain as domain
+import fokker_flux.entropy as entropy_module
+import fokker_flux.stationary as stationary
+import fokker_flux.transient as transient
+from fokker_flux import (
+    InitialSpec,
+    ModelSpec,
+    PotentialSpec,
+    SolverConfig,
+    build_grid,
+    build_initial,
+    discretize,
+    flux_field,
+    run_transient,
+    stationary_numeric,
+)
+
+LINEAR = PotentialSpec("linear")
+
+
+@pytest.mark.parametrize(
+    "model, initial, scheme",
+    [
+        (ModelSpec("A", 1.0, 0.9, LINEAR), "affine", "explicit"),
+        (ModelSpec("C", 1.0, 0.9, LINEAR), "parabola", "explicit"),
+        (ModelSpec("C", 1.0, 0.9, LINEAR), "parabola", "implicit-entropy"),
+    ],
+)
+def test_run_evaluates_the_potential_once(model, initial, scheme, monkeypatch):
+    grid = build_grid(40)
+    rho0 = build_initial(InitialSpec(initial), grid, model)
+    reference = stationary_numeric(model, grid)
+    evaluations, built = [], []
+    evaluate, build = domain.eval_potential, transient.discretize
+
+    def counted_evaluate(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    # every module that could hold its own reference to the evaluation
+    for module in (domain, transient, stationary, entropy_module):
+        if hasattr(module, "eval_potential"):
+            monkeypatch.setattr(module, "eval_potential", counted_evaluate)
+    monkeypatch.setattr(transient, "discretize", counted_build)
+    dt = 1e-3 if scheme == "implicit-entropy" else 1e-4
+    config = SolverConfig(dt=dt, t_end=0.05, observe_every=7, scheme=scheme)
+    run_transient(model, rho0, config, reference=reference, snapshot_times=[0.02])
+    assert len(built) == 1
+    assert len(evaluations) == 1
+
+
+def parent_flux_field(values, model, grid):
+    """The face fluxes as written before they were read off the explicit kernel."""
+    _, _, slope = domain.eval_potential(model.potential, grid)
+    mean = 0.5 * (values[:-1] + values[1:])
+    mobility = mean * (1.0 - mean) if model.crowded else mean
+    faces = np.empty(grid.n + 1)
+    faces[1:-1] = -(values[1:] - values[:-1]) / grid.dx + mobility * slope
+    if model.model == "A":
+        faces[0] = model.alpha
+        faces[-1] = model.beta * values[-1]
+    else:
+        faces[0] = faces[-1] = 0.0
+    return faces
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [LINEAR, PotentialSpec("zero"), PotentialSpec("scaled-linear", gamma=-3.0)],
+    ids=["linear", "zero", "gamma-3"],
+)
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_flux_field_matches_the_parent_formula(name, potential):
+    model = ModelSpec(name, 1.0, 0.9, potential)
+    rng = np.random.default_rng(3)
+    for n in (5, 60, 200):
+        grid = build_grid(n)
+        for rho in (
+            domain.DensityField(0.2 + 0.6 * grid.nodes**2, grid),
+            domain.DensityField(rng.uniform(0.01, 0.99, n), grid),
+        ):
+            got = flux_field(rho, model).values
+            want = parent_flux_field(rho.values, model, grid)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert got[0] == want[0] and got[-1] == want[-1]
+
+
+def test_inverse_volumes_equal_the_parent_step_factor():
+    for n in range(3, 2001):
+        grid = build_grid(n)
+        inv_dx = 1.0 / grid.dx
+        inv_vol = np.full(n, inv_dx)
+        inv_vol[0] = inv_vol[-1] = 2.0 * inv_dx
+        assert np.array_equal(1.0 / grid.volumes, inv_vol), n
+
+
+def test_discretization_arrays_are_read_only():
+    # one object is shared by the CFL check, the stepper and the steady residual
+    model = ModelSpec("B", 1.0, 0.9, PotentialSpec("scaled-linear", gamma=2.0))
+    d = discretize(model, build_grid(30))
+    for array in (d.v, d.v_faces, d.slope, d.exp_neg_v, d.exp_v, d.exp_v_faces, d.volumes):
+        assert not array.flags.writeable

@@ -54,30 +54,30 @@ def test_grid_uniformity(n):
 
 def test_potential_linear_values():
     g = build_grid(3)
-    pv = eval_potential(PotentialSpec("linear"), g)
-    assert pv.nodes[1] == 0.5
-    assert np.all(pv.face_slope == 1.0)
+    v, _, slope = eval_potential(PotentialSpec("linear"), g)
+    assert v[1] == 0.5
+    assert np.all(slope == 1.0)
 
 
 def test_potential_zero():
     g = build_grid(5)
-    pv = eval_potential(PotentialSpec("zero"), g)
-    assert np.all(pv.nodes == 0.0) and np.all(pv.face_slope == 0.0)
+    v, _, slope = eval_potential(PotentialSpec("zero"), g)
+    assert np.all(v == 0.0) and np.all(slope == 0.0)
 
 
 def test_potential_scaled_linear():
     g = build_grid(5)
-    pv = eval_potential(PotentialSpec("scaled-linear", gamma=2.0), g)
-    assert pv.nodes[-1] == 2.0
-    assert np.all(pv.face_slope == 2.0)
+    v, _, slope = eval_potential(PotentialSpec("scaled-linear", gamma=2.0), g)
+    assert v[-1] == 2.0
+    assert np.all(slope == 2.0)
 
 
 def test_potential_tabulated_faces_interpolate():
     g = build_grid(4)
     vals = np.array([0.0, 0.3, 0.1, 0.4])
-    pv = eval_potential(PotentialSpec("tabulated", values=vals), g)
-    assert pv.faces == pytest.approx([0.15, 0.2, 0.25])
-    assert pv.face_slope == pytest.approx([0.9, -0.6, 0.9])
+    _, v_faces, slope = eval_potential(PotentialSpec("tabulated", values=vals), g)
+    assert v_faces == pytest.approx([0.15, 0.2, 0.25])
+    assert slope == pytest.approx([0.9, -0.6, 0.9])
 
 
 def test_potential_tabulated_wrong_length():

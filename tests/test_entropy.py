@@ -19,11 +19,11 @@ from fokker_flux import (
     fit_exponential_rate,
     k1_bound,
     l1_distance,
-    mass,
-    mass_node_average,
+    node_average,
     phi_lemma,
     predicted_rate,
     stationary_closed,
+    trapezoid,
 )
 
 GRID = build_grid(101)
@@ -115,8 +115,8 @@ def test_default_kinds():
 # ------------------------------------------------------------ observables
 
 def test_mass_of_unit_density():
-    assert mass(const(1.0)) == pytest.approx(1.0, abs=1e-15)
-    assert mass_node_average(const(1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert trapezoid(const(1.0).values, GRID.dx) == pytest.approx(1.0, abs=1e-15)
+    assert node_average(const(1.0).values) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_l1_distance_zero_at_reference():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ def test_gamma_sweep_flushes_partials_on_failure(tmp_path, monkeypatch):
     assert (tmp_path / "sweep.csv").read_text().startswith("gamma,fitted_rate")
 
 
+def test_gamma_sweep_members_equal_single_runs(monkeypatch):
+    # the members are built from the base's input mapping as given
+    monkeypatch.setenv("FOKKER_FLUX_THREADS", "1")
+    data = dict(
+        SWEEP_BASE, potential="linear", initial="mass1", n=60, dt=5e-5, t_end=1.0,
+        observe_every=200, snapshot_times=[0.5], emit=["entropy"], outputs="unused",
+    )
+    data.pop("gamma")
+    rows = gamma_sweep(config_from_dict(data), [0.5, -1.0, 0.0])
+    for row, gamma in zip(rows, [-1.0, 0.0, 0.5]):
+        summary, _ = execute(config_from_dict(dict(data, potential="scaled-linear", gamma=gamma)))
+        assert (row.gamma, row.fitted_rate, row.r_squared) == (
+            gamma, summary.fitted_rate, summary.fit.r_squared
+        )
+
+
 def test_gamma_sweep_requires_model_A():
     cfg = config_from_dict(dict(SWEEP_BASE, model="B", potential="linear"))
     with pytest.raises(ConfigError):
@@ -332,6 +349,34 @@ def test_cli_run_success(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "summary.json").exists()
     assert "wall clock" in capsys.readouterr().out
+
+
+def test_cli_run_and_preset_print_the_summary_block(tmp_path, capsys):
+    def printed():
+        return re.sub(r"wall clock: \d+\.\d{3} s", "wall clock: T s", capsys.readouterr().out)
+
+    data = dict(TINY, t_end=0.5)
+    data.pop("snapshot_times")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+    assert printed() == (
+        f"run finished: 10000 steps, wrote artifacts to {out}\n"
+        "wall clock: T s\n"
+        "fitted rate: 2.00709 (predicted 1.36919, spectral)\n"
+    )
+    out = tmp_path / "p"
+    overrides = ["n=60", "dt=5e-5", "t_end=0.5", "observe_every=100"]
+    code = main(["preset", "entropy-A", "--out", str(out),
+                 *(arg for pair in overrides for arg in ("--set", pair))])
+    assert code == 0
+    assert printed() == (
+        f"preset entropy-A: 10000 steps, wrote artifacts to {out}\n"
+        "wall clock: T s\n"
+        "fitted rate: 2.21006 (predicted 1.48035, spectral)\n"
+    )
+    data["t_end"] = 0.05  # too short to fit: no rate line
+    assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
+    assert printed() == f"run finished: 1000 steps, wrote artifacts to {out}\nwall clock: T s\n"
 
 
 def test_cli_invalid_config_exits_2(tmp_path, capsys):

@@ -21,7 +21,7 @@ from fokker_flux import (
     run_transient,
 )
 from fokker_flux.cli import main
-from fokker_flux.domain import InitialSpec, ModelSpec, PotentialSpec
+from fokker_flux.domain import InitialSpec, ModelSpec, PotentialSpec, discretize
 from fokker_flux.transient import _ImplicitStepper
 
 MODEL_C = ModelSpec("C", 1.0, 0.9, PotentialSpec("linear"))
@@ -108,7 +108,7 @@ def test_newton_counts(monkeypatch):
 def test_failed_extrapolated_start_is_retried_from_previous_state(monkeypatch):
     g = build_grid(60)
     rho_old = np.random.default_rng(4).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(MODEL_C, g, transient.NewtonConfig())
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
     want = constant_start_step(stepper, rho_old, 1e-2)
     thomas = transient.solve_tridiagonal
     calls = []

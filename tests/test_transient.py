@@ -18,6 +18,7 @@ from fokker_flux import (
     build_grid,
     build_initial,
     cfl_max_dt,
+    discretize,
     entropy,
     execute,
     face_flux,
@@ -285,7 +286,7 @@ def test_implicit_step_equals_reference_newton(dt, newton, monkeypatch):
     g = build_grid(60)
     rng = np.random.default_rng(11)
     rho_old = rng.uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(MODEL_C, g, newton)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), newton)
     calls = {"_residual": 0, "_jacobian": 0}
     for name in calls:
         original = getattr(_ImplicitStepper, name)
@@ -461,7 +462,7 @@ def test_propagator_matches_stepping(name, stride):
         snapshot_times=[snap_time], keep_fields=True,
     )
     # reference: the explicit stepper applied one step at a time
-    stepper = _ExplicitStepper(model, grid)
+    stepper = _ExplicitStepper(discretize(model, grid))
     rho = initial.values.copy()
     steps = int(round(0.01 / dt))
     sampled, fields = [0], [rho.copy()]
