@@ -1,9 +1,9 @@
 """Run numpy's BLAS on one thread inside a block.
 
 The affine propagator of models A and B multiplies dense (n+1) x (n+1)
-matrices and applies them to vectors. At the presets' n = 200 a product
-takes well under a millisecond on one core, so OpenBLAS's default of one
-thread per core gains little, and it loses a lot when the cores are
+matrices and applies them to blocks of states. At the presets' n = 200 a
+product takes well under a millisecond on one core, so OpenBLAS's default
+of one thread per core gains little, and it loses a lot when the cores are
 shared: its threads wait for each other inside every product. On a
 two-core machine with one other busy process, an ``entropy-A`` run
 (t_end 0.7) took 26-260 ms with the default threads and 22-38 ms on

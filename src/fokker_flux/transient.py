@@ -17,7 +17,6 @@ telescopes.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
@@ -98,11 +97,12 @@ class Trajectory:
 
     ``times`` is strictly increasing with one row of observables per
     sample. ``min_value`` / ``max_value`` range over the iterates the run
-    materialises: every step for model C; for models A and B, which jump
-    from event to event with the affine propagator, step 0, the samples,
-    the snapshots and the final step. Nonnegativity of every A/B iterate
-    follows from the certificate checked when the propagator is built
-    (see :meth:`_ExplicitStepper.affine_matrix`). ``newton_iterations``
+    materialises: every step for model C; for models A and B, which compute
+    their samples a block at a time with powers of the affine step matrix,
+    step 0, the samples, the snapshots and the final step (the extrema of a
+    block are taken once). Nonnegativity of every A/B iterate follows from
+    the certificate checked when the propagator is built (see
+    :meth:`_ExplicitStepper.affine_matrix`). ``newton_iterations``
     counts the Thomas solves of the implicit scheme's Newton iterations,
     ``newton_max_per_step`` the most in one step; both are 0 when explicit.
     """
@@ -130,9 +130,11 @@ class Trajectory:
 _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 
 # Rows of the block of sampled states the observers evaluate at once: at
-# n = 200 one row is 1.6 kB, the block 51 kB; larger blocks raised the peak
-# memory of a run without running the observers faster.
-OBSERVER_BLOCK = 32
+# n = 200 one row is 1.6 kB, the block 102 kB. Models A and B compute their
+# samples in the block (a power of two: the first block doubles up to it,
+# see _strided_blocks); model C copies each sample in. 128 rows ran no
+# faster and raised the peak memory of an explicit-A benchmark round by 0.9 MB.
+OBSERVER_BLOCK = 64
 
 
 def cfl_max_dt(model: ModelSpec, grid: Grid) -> float:
@@ -290,6 +292,31 @@ class _ExplicitStepper:
             if bit > top:
                 return powers
             square = square @ square
+
+
+def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
+    """The states at steps 0, s, 2s, .. (``count`` of them) with a trailing 1,
+    in blocks of ``OBSERVER_BLOCK`` rows, ``power`` being ``P^s``.
+
+    The first block doubles: rows ``h .. 2h-1`` are rows ``0 .. h-1`` times
+    ``(P^(s h))^T``, squared while more samples are wanted. Each later block
+    is the one before times ``(P^(s B))^T`` in place, valid until the next.
+    """
+    block = np.ones((min(OBSERVER_BLOCK, count), rho.size + 1))
+    block[0, :-1] = rho
+    have = 1
+    while have < len(block):
+        h = min(have, len(block) - have)
+        np.matmul(block[:h], power.T, out=block[have : have + h])
+        have += h
+        if have < count:
+            power = power @ power
+    yield block
+    while have < count:
+        rows = block[: min(len(block), count - have)]
+        np.matmul(rows, power.T, out=rows)
+        have += len(rows)
+        yield rows
 
 
 def step_explicit(rho: DensityField, model: ModelSpec, dt: float) -> DensityField:
@@ -474,16 +501,19 @@ def run_transient(
     propagate with the failing time attached; a non-finite value raises
     DivergenceError with the step and time at which it was first seen.
 
-    Sampled states are copied into a block of ``OBSERVER_BLOCK`` rows, and
-    the observers run once per full block (and once for the last, partial
-    one), each on all rows at once.
+    The observers run once per block of ``OBSERVER_BLOCK`` samples (and
+    once for the last, partial one), each on all rows at once. A series too
+    long to allocate is a ConfigError.
 
-    Models A and B on the explicit scheme do not step one by one: they jump
-    from one event (sample, snapshot or final step) to the next with one
-    matrix-vector product by a power of the affine step matrix, built once
-    per jump length (:meth:`_ExplicitStepper.jump_matrices`). Model C steps;
-    on the implicit scheme each Newton solve starts from the extrapolation
-    of the last accepted entropy variables (:func:`_extrapolate`).
+    Models A and B on the explicit scheme do not step one by one: their
+    samples on the stride are computed a block at a time with powers of the
+    affine step matrix (:func:`_strided_blocks`), checked for extrema and
+    finiteness and observed in place, a block at once. A snapshot or final
+    step off the stride is advanced from the sample before it
+    (:meth:`_ExplicitStepper.jump_matrices`). Model C steps, copying each
+    sample into a block; on the implicit scheme each Newton solve starts
+    from the extrapolation of the last accepted entropy variables
+    (:func:`_extrapolate`).
     """
     grid = initial.grid
     initial.validate_for_model(model, strict_box=config.scheme == "implicit-entropy")
@@ -509,19 +539,25 @@ def run_transient(
         snap_lookup.setdefault(min(steps, int(round(t_req / dt))), float(t_req))
 
     rho = initial.values.copy()
-    count = (steps - 1) // config.observe_every + 2  # step 0, the strides below steps, steps
-    times, ent, mass_tz, mass_na, l1s, resid, outflow = (np.empty(count) for _ in range(7))
-    snapshots = []
-    sampled_fields = []
+    stride = config.observe_every
+    count = (steps - 1) // stride + 2  # step 0, the strides below steps, steps
+    try:
+        times, ent, mass_tz, mass_na, l1s, resid, outflow = (np.empty(count) for _ in range(7))
+    except (MemoryError, ValueError) as err:  # too many samples to hold
+        raise ConfigError(
+            f"cannot allocate the {count:.3g} observer samples of {steps:.3g} steps at "
+            f"observe_every={stride}; raise observe_every or dt"
+        ) from err
+    snapshots, sampled_fields = [], []
     ref_field = reference.field
-    block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
     done = 0  # samples evaluated
-    pending = 0  # samples waiting in the block
 
-    def flush() -> None:
-        nonlocal done, pending
-        rows = block[:pending]
-        span = slice(done, done + pending)
+    def observe(rows) -> None:
+        """Every observer on ``rows``, the next sampled states in order."""
+        nonlocal done
+        if not len(rows):
+            return
+        span = slice(done, done + len(rows))
         ent[span] = entropy(kind, rows, ref_field)
         mass_tz[span] = trapezoid(rows, grid.dx)
         mass_na[span] = node_average(rows)
@@ -530,86 +566,89 @@ def run_transient(
         outflow[span] = rows[:, -1]
         if keep_fields:
             sampled_fields.extend(DensityField(row.copy(), grid) for row in rows)
-        done += pending
-        pending = 0
+        done += len(rows)
 
-    def sample(step_index: int) -> None:
-        nonlocal pending
-        times[done + pending] = step_index * dt
-        block[pending] = rho
-        pending += 1
-        if pending == block.shape[0]:
-            flush()
+    def diverged(step_index: int) -> DivergenceError:
+        t = step_index * dt
+        return DivergenceError(
+            f"non-finite values at step {step_index}, t={t:.6g}", step=step_index, time=t
+        )
 
-    def snapshot(step_index: int) -> None:
-        if step_index in snap_lookup:
-            snapshots.append((snap_lookup[step_index], DensityField(rho.copy(), grid)))
-
-    min_value = float(rho.min())
-    max_value = float(rho.max())
-
-    def reached(step_index: int) -> None:
-        nonlocal min_value, max_value
-        lo = float(rho.min())
-        hi = float(rho.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            if pending:  # an observer error of an earlier sample comes first
-                flush()
-            t = step_index * dt
-            raise DivergenceError(
-                f"non-finite values at step {step_index}, t={t:.6g}", step=step_index, time=t
-            )
-        min_value = lo if lo < min_value else min_value
-        max_value = hi if hi > max_value else max_value
-        snapshot(step_index)
-        if step_index % config.observe_every == 0 or step_index == steps:
-            sample(step_index)
-
-    sample(0)
-    snapshot(0)
+    min_value, max_value = float(rho.min()), float(rho.max())
     newton_max = 0
     if explicit is not None and not model.crowded:
-
-        def events():
-            """(step, steps since the previous event) for each event after step 0."""
-            previous = 0
-            stride = config.observe_every
-            for k in heapq.merge(range(stride, steps, stride), sorted({*snap_lookup, steps})):
-                if k > previous:
-                    yield k, k - previous
-                    previous = k
-
-        jumps = {jump for _, jump in events()}
-        if jumps:  # a zero-length run builds nothing
-            # small dense products: more BLAS threads only wait for each other (blas.py)
-            with serial_blas():
-                powers = explicit.jump_matrices(dt, jumps)
-                state = np.append(rho, 1.0)
-                for k, jump in events():
-                    state = powers[jump] @ state
-                    rho = state[:-1]
-                    reached(k)
-    elif explicit is not None:
-        for k in range(1, steps + 1):
-            explicit.step(rho, dt)
-            reached(k)
+        strided = steps // stride + 1  # samples on the stride, step 0 included
+        events = sorted({*snap_lookup, steps})  # snapshots and the final step
+        jumps = {k % stride for k in events} - {0}  # events off the stride
+        if strided > 1:
+            jumps.add(stride)
+        # small dense products: more BLAS threads only wait for each other (blas.py)
+        with serial_blas():
+            powers = explicit.jump_matrices(dt, jumps) if jumps else {}
+            first = 0  # sample index of the block's first row
+            for rows in _strided_blocks(rho, powers.get(stride), strided):
+                end, states = first + len(rows), rows[:, :-1]
+                times[first:end] = np.arange(first, end) * stride * dt
+                lo, hi = float(states.min()), float(states.max())
+                reach = end  # samples before the first non-finite one
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    reach = first + int(np.argmin(np.isfinite(rows).all(axis=1)))
+                while events and events[0] // stride < reach:
+                    k = events.pop(0)
+                    j = k // stride - first
+                    rho = rows[j, :-1]
+                    if k % stride:  # off the stride: advanced from the sample before it
+                        rho = (powers[k % stride] @ rows[j])[:-1]
+                        if not np.isfinite(rho).all():
+                            observe(states[: j + 1])
+                            raise diverged(k)
+                        min_value = min(min_value, float(rho.min()))
+                        max_value = max(max_value, float(rho.max()))
+                    if k in snap_lookup:
+                        snapshots.append((snap_lookup[k], DensityField(rho.copy(), grid)))
+                if reach < end:
+                    observe(states[: reach - first])
+                    raise diverged(reach * stride)
+                min_value, max_value = min(min_value, lo), max(max_value, hi)
+                observe(states)
+                first = end
+            if steps % stride:
+                times[-1] = steps * dt
+                observe(rho[None])
     else:
-        history = [implicit.entropy_variable(rho)]  # u^0, then the accepted iterates
-        for k in range(1, steps + 1):
-            solves = implicit.solves
-            try:
-                rho, u = implicit.solve(rho, dt, _extrapolate(history) if k > 1 else None)
-            except StepFailureError as err:
-                raise StepFailureError(
-                    f"implicit step failed at t={k * dt:.6g}: {err}",
-                    residual=err.residual,
-                    time=k * dt,
-                ) from err
-            newton_max = max(newton_max, implicit.solves - solves)
-            history = [*history[-2:], u]
-            reached(k)
-    if pending:
-        flush()
+        block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
+        pending = 0  # samples waiting in the block
+        history = [] if implicit is None else [implicit.entropy_variable(rho)]  # u^0, u^1, ..
+        for k in range(steps + 1):
+            if k and implicit is None:
+                explicit.step(rho, dt)
+            elif k:
+                solves = implicit.solves
+                try:
+                    rho, u = implicit.solve(rho, dt, _extrapolate(history) if k > 1 else None)
+                except StepFailureError as err:
+                    raise StepFailureError(
+                        f"implicit step failed at t={k * dt:.6g}: {err}",
+                        residual=err.residual,
+                        time=k * dt,
+                    ) from err
+                newton_max = max(newton_max, implicit.solves - solves)
+                history = [*history[-2:], u]
+            lo, hi = float(rho.min()), float(rho.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                observe(block[:pending])  # an observer error of an earlier sample comes first
+                raise diverged(k)
+            min_value, max_value = min(min_value, lo), max(max_value, hi)
+            if k in snap_lookup:
+                snapshots.append((snap_lookup[k], DensityField(rho.copy(), grid)))
+            if k % stride == 0 or k == steps:
+                times[done + pending] = k * dt
+                block[pending] = rho
+                pending += 1
+                if pending == len(block):
+                    observe(block)
+                    pending = 0
+        observe(block[:pending])
 
     for series in (times, ent, mass_tz, mass_na, l1s, resid, outflow):
         series.setflags(write=False)

@@ -398,6 +398,17 @@ def test_cli_dt_breaking_positivity_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_unallocatable_sample_series_exits_2(tmp_path, capsys):
+    # 6e15 samples of 8 bytes each: no address space holds one series
+    code = main(["preset", "entropy-A", "--out", str(tmp_path / "x"),
+                 "--set", "dt=1e-15", "--set", "observe_every=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot allocate the 6e+15 observer samples" in err
+    assert "raise observe_every or dt" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
