@@ -108,7 +108,14 @@ def test_strided_fields_are_the_stepped_states(name):
 
 
 @pytest.mark.parametrize(
-    "samples", [1, OBSERVER_BLOCK - 1, OBSERVER_BLOCK, OBSERVER_BLOCK + 1, 2 * OBSERVER_BLOCK + 1]
+    "samples",
+    # around one and two blocks, and around 32 samples, where the doubling that
+    # fills the first block of a model A/B run ends one row short of, on, or
+    # one row past a power of two
+    sorted(
+        {1, 31, 32, 33, 65}
+        | {OBSERVER_BLOCK - 1, OBSERVER_BLOCK, OBSERVER_BLOCK + 1, 2 * OBSERVER_BLOCK + 1}
+    ),
 )
 @pytest.mark.parametrize("model_name", ["A", "B", "C"])
 def test_sample_counts_around_the_block_size(samples, model_name):
