@@ -66,21 +66,16 @@ from .experiments import (
 from .spectral import EigenResult, discrete_min_rayleigh, friedrichs_k, symmetric_k
 from .stationary import (
     StationarySolution,
+    nodal_residual,
     slotboom_system,
     stationary_closed,
-    stationary_modelA_closed,
-    stationary_modelB_closed,
-    stationary_modelC_closed,
     stationary_numeric,
-    steady_residual,
 )
 from .transient import (
     FluxField,
     NewtonConfig,
     SolverConfig,
     Trajectory,
-    cfl_max_dt,
-    face_flux,
     flux_field,
     residual_stationary,
     run_transient,

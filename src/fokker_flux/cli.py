@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (
@@ -110,13 +111,21 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _require_positive(option: str, *values: float) -> None:
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        got = ",".join(f"{v:g}" for v in values)
+        raise ConfigError(f"{option} must be finite and positive, got {got}")
+
+
 def _cmd_eigen(args) -> int:
+    _require_positive("--beta", args.beta)
     results = {"symmetric": symmetric_k(args.beta)}
     if args.weights:
         try:
             w0, w1 = (float(tok) for tok in args.weights.split(","))
         except ValueError as exc:
             raise ConfigError(f"--weights expects w0,w1, got {args.weights!r}") from exc
+        _require_positive("--weights", w0, w1)
         results["friedrichs"] = friedrichs_k(w0, w1)
     payload = {
         tag: {

@@ -165,7 +165,6 @@ def predicted_rate(
     model: ModelSpec,
     rho_inf: DensityField,
     rho0: DensityField | None = None,
-    upper_bound: float | None = None,
 ) -> RatePrediction:
     """Analytic decay rate of the model-appropriate relative entropy.
 
@@ -175,19 +174,17 @@ def predicted_rate(
       K1 = max{1, phi(L, min rho_inf)}, L = max(sup rho_inf, sup rho0),
     * model C: alpha * min{1, inf (1 - rho_inf) / rho_inf}.
 
-    Model B needs ``rho0`` (or an explicit ``upper_bound``) for L.
+    Model B needs ``rho0`` for L.
     """
     if model.model == "A":
         return RatePrediction(symmetric_k(model.beta).rate, "spectral")
     ref = rho_inf.values
     if model.model == "B":
-        if upper_bound is None:
-            if rho0 is None:
-                raise UndefinedConstantError(
-                    "model B prediction needs the initial field (or upper_bound) "
-                    "to bound the density"
-                )
-            upper_bound = max(float(ref.max()), float(rho0.values.max()))
+        if rho0 is None:
+            raise UndefinedConstantError(
+                "model B prediction needs the initial field to bound the density"
+            )
+        upper_bound = max(float(ref.max()), float(rho0.values.max()))
         k2 = float(discretize(model, rho_inf.grid).exp_neg_v.min())
         k1 = k1_bound(upper_bound, float(ref.min()))
         return RatePrediction(4.0 * model.beta * k2 / k1, "model-B-formula")

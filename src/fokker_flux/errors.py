@@ -64,7 +64,7 @@ class FitError(FokkerFluxError):
 
 
 class RootNotFoundError(FokkerFluxError):
-    """No sign change found in the root scan range."""
+    """A Robin equation has no bracketed smallest root (invalid or non-finite weights)."""
 
 
 class IterationError(FokkerFluxError):

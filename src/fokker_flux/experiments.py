@@ -21,13 +21,13 @@ import numpy as np
 
 from .blas import serial_blas
 from .domain import (
-    DensityField,
     Grid,
     InitialSpec,
     ModelSpec,
     PotentialSpec,
     build_grid,
     build_initial,
+    discretize,
     node_average,
     trapezoid,
 )
@@ -41,7 +41,7 @@ from .errors import ConfigError, FitError, FokkerFluxError
 from .spectral import EigenResult, friedrichs_k, symmetric_k
 from .stationary import stationary_closed, stationary_numeric
 from .svg import line_chart
-from .transient import SolverConfig, Trajectory, cfl_max_dt, run_transient
+from .transient import SolverConfig, Trajectory, run_transient
 
 EMIT_CHOICES = ("snapshots", "entropy", "mass", "summary", "svg")
 DEFAULT_EMIT = ("snapshots", "entropy", "summary")
@@ -97,13 +97,21 @@ class RunConfig:
 
     def resolve_dt(self, model: ModelSpec, grid: Grid) -> float:
         if self.dt == "auto":
-            return 0.5 * cfl_max_dt(model, grid)
+            return 0.5 * discretize(model, grid).max_dt
         return float(self.dt)
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list_of(values, test) -> bool:
+    return isinstance(values, (list, tuple)) and all(test(v) for v in values)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -125,7 +133,7 @@ def config_from_dict(data: dict) -> RunConfig:
             _require(default is not None, f"missing field {name!r}")
             return default
         v = data[name]
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{name} must be a number")
+        _require(_is_number(v), f"{name} must be a number")
         v = float(v)
         _require(math.isfinite(v), f"{name} must be finite")
         if positive:
@@ -148,8 +156,8 @@ def config_from_dict(data: dict) -> RunConfig:
                  f"unknown potential kind {kind!r}")
         if kind == "tabulated":
             vals = pot.get("values")
-            _require(isinstance(vals, (list, tuple)) and len(vals) > 0,
-                     "tabulated potential needs a nonempty 'values' list")
+            _require(_is_list_of(vals, _is_number) and len(vals) > 0,
+                     "tabulated potential needs a nonempty 'values' list of numbers")
             pot_values = tuple(float(v) for v in vals)
         pot = kind
     _require(pot in ("linear", "zero", "scaled-linear", "tabulated"),
@@ -166,12 +174,11 @@ def config_from_dict(data: dict) -> RunConfig:
     if initial["kind"] == "affine":
         for key in ("a", "b"):
             value = initial.get(key, -0.1 if key == "a" else 1.2)
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     f"affine initial coefficient {key!r} must be a number")
+            _require(_is_number(value), f"affine initial coefficient {key!r} must be a number")
     if initial["kind"] == "tabulated":
         vals = initial.get("values")
-        _require(isinstance(vals, (list, tuple)) and len(vals) > 0,
-                 "tabulated initial needs a nonempty 'values' list")
+        _require(_is_list_of(vals, _is_number) and len(vals) > 0,
+                 "tabulated initial needs a nonempty 'values' list of numbers")
 
     n = data.get("n", 200)
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 3,
@@ -179,7 +186,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
     dt = data.get("dt", "auto")
     if dt != "auto":
-        _require(isinstance(dt, (int, float)) and not isinstance(dt, bool) and float(dt) > 0.0,
+        _require(_is_number(dt) and float(dt) > 0.0,
                  f"dt must be a positive number or 'auto', got {dt!r}")
         dt = float(dt)
 
@@ -199,7 +206,9 @@ def config_from_dict(data: dict) -> RunConfig:
     _require(scheme == "explicit" or model == "C",
              "the implicit-entropy scheme applies to model C only")
 
-    emit = tuple(data.get("emit", DEFAULT_EMIT))
+    emit = data.get("emit", DEFAULT_EMIT)
+    _require(_is_list_of(emit, lambda e: isinstance(e, str)), "emit must be a list of strings")
+    emit = tuple(emit)
     bad = [e for e in emit if e not in EMIT_CHOICES]
     _require(not bad, f"unknown emit entries {bad}; choose from {EMIT_CHOICES}")
 

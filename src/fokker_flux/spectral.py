@@ -16,9 +16,6 @@ from .domain import Grid
 from .errors import IterationError, RootNotFoundError
 from .tridiag import apply_tridiagonal, solve_tridiagonal
 
-SCAN_STEP = 1e-3
-SCAN_MAX = 4.0 * math.pi
-
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -31,26 +28,9 @@ class EigenResult:
     root_residual: float
 
 
-def _first_bracket(g, lo: float = 1e-8) -> tuple[float, float]:
-    """Scan upward in steps of SCAN_STEP for the first sign change of g."""
-    a = lo
-    fa = g(a)
-    while a < SCAN_MAX:
-        b = min(a + SCAN_STEP, SCAN_MAX)
-        fb = g(b)
-        if fa == 0.0:
-            return a, a
-        if fa * fb <= 0.0:
-            return a, b
-        a, fa = b, fb
-    raise RootNotFoundError(f"no sign change in (0, {SCAN_MAX:.6f}]")
-
-
 def _bisect(g, a: float, b: float) -> float:
-    """Bisection to the last representable midpoint."""
-    fa = g(a)
-    if a == b or fa == 0.0:
-        return a
+    """Bisection of a bracket with ``g(a) > 0 > g(b)`` to the last
+    representable midpoint."""
     for _ in range(200):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
@@ -58,16 +38,30 @@ def _bisect(g, a: float, b: float) -> float:
         fm = g(mid)
         if fm == 0.0:
             return mid
-        if fa * fm < 0.0:
+        if fm < 0.0:
             b = mid
         else:
-            a, fa = mid, fm
+            a = mid
     return 0.5 * (a + b)
 
 
-def _solve(g, tag: str) -> EigenResult:
-    a, b = _first_bracket(g)
-    k = _bisect(g, a, b)
+def _solve(g, lo: float, tag: str) -> EigenResult:
+    """The smallest positive root of ``g``, the only one in (0, pi).
+
+    Both equations have ``g > 0`` on (0, k) and ``g < 0`` on (k, pi): the
+    first Robin eigenvalue lies below the Dirichlet one, pi^2, and the
+    second at or above the Neumann one, pi^2. ``lo`` lies below the root.
+    Bisection runs on ``[lo, float pi]``. ``g(float pi) >= 0`` happens
+    only for the Friedrichs equation with both weights above 2.6e16,
+    because ``sin(float pi) > 0``; the root then lies between float pi and
+    pi, and float pi, its nearest double, is returned. Any other sign
+    pattern, a NaN included, raises.
+    """
+    hi = math.pi
+    g_hi = g(hi)
+    if not g(lo) > 0.0 or math.isnan(g_hi):
+        raise RootNotFoundError(f"no sign change of the {tag} equation in [{lo:g}, pi]")
+    k = hi if g_hi >= 0.0 else _bisect(g, lo, hi)
     return EigenResult(
         k=k,
         eigenvalue=k * k,
@@ -97,7 +91,8 @@ def friedrichs_k(w0: float, w1: float) -> EigenResult:
     def g(k: float) -> float:
         return ((w0 * w1 - k * k) * math.sin(k) + k * (w0 + w1) * math.cos(k)) / scale
 
-    return _solve(g, "friedrichs")
+    # the root is near sqrt(w0 w1 + w0 + w1) when that is small
+    return _solve(g, min(1e-8, 0.5 * math.sqrt(w0 * w1 + w0 + w1)), "friedrichs")
 
 
 def symmetric_k(beta: float) -> EigenResult:
@@ -114,16 +109,8 @@ def symmetric_k(beta: float) -> EigenResult:
     def g(k: float) -> float:
         return (beta * math.cos(k) - k * math.sin(k)) / scale
 
-    return _solve(g, "symmetric")
-
-
-def no_smaller_root(g, k: float, lo: float = 1e-8, hi_margin: float = 1e-8) -> bool:
-    """Re-scan (lo, k - hi_margin) and confirm the function keeps its sign."""
-    ks = np.arange(lo, k - hi_margin, SCAN_STEP)
-    if ks.size < 2:
-        return True
-    vals = np.array([g(t) for t in ks])
-    return bool(np.all(vals > 0) or np.all(vals < 0))
+    # the root is near sqrt(beta) when beta is small
+    return _solve(g, min(1e-8, 0.5 * math.sqrt(beta)), "symmetric")
 
 
 def discrete_min_rayleigh(

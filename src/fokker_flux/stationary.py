@@ -16,7 +16,6 @@ from .domain import (
     FloatArray,
     Grid,
     ModelSpec,
-    PotentialSpec,
     discretize,
 )
 from .errors import InvalidModelError
@@ -55,53 +54,32 @@ def _solution(d: Discretization, values: FloatArray, method: str) -> StationaryS
     return StationarySolution(DensityField(values, d.grid), method, d.model, residual)
 
 
-def stationary_modelA_closed(
-    alpha: float, beta: float, potential: PotentialSpec, grid: Grid
-) -> StationarySolution:
-    """Closed-form steady state of the boundary in/outflow model.
-
-    The steady flux equals ``alpha`` everywhere, which integrates to
-    ``rho(x) = (C - alpha * int_0^x exp(-V)) * exp(V)`` with
-    ``C = alpha * (exp(-V(1))/beta + int_0^1 exp(-V))``. The outflow value
-    is then ``rho(1) = alpha / beta`` exactly.
-    """
-    d = discretize(ModelSpec("A", alpha, beta, potential), grid)
-    cum = _cumulative_exp_neg(d)
-    c = alpha * (d.exp_neg_v[-1] / beta + cum[-1])
-    return _solution(d, (c - alpha * cum) * d.exp_v, "closed-form")
-
-
-def stationary_modelB_closed(
-    alpha: float, beta: float, potential: PotentialSpec, grid: Grid
-) -> StationarySolution:
-    """Closed-form steady state of the bulk-exchange model: (alpha/beta) e^V."""
-    d = discretize(ModelSpec("B", alpha, beta, potential), grid)
-    return _solution(d, (alpha / beta) * d.exp_v, "closed-form")
-
-
-def stationary_modelC_closed(
-    alpha: float, beta: float, potential: PotentialSpec, grid: Grid
-) -> StationarySolution:
-    """Closed-form steady state of the crowded model, always inside (0, 1).
-
-    Evaluated as a logistic, ``1 / (1 + (beta/alpha) exp(-V))``, which stays
-    stable for large potentials.
-    """
-    d = discretize(ModelSpec("C", alpha, beta, potential), grid)
-    return _solution(d, 1.0 / (1.0 + (beta / alpha) * d.exp_neg_v), "closed-form")
-
-
 def stationary_closed(model: ModelSpec, grid: Grid) -> StationarySolution:
-    """Closed-form stationary solution for the given model."""
-    fn = {
-        "A": stationary_modelA_closed,
-        "B": stationary_modelB_closed,
-        "C": stationary_modelC_closed,
-    }[model.model]
-    return fn(model.alpha, model.beta, model.potential, grid)
+    """Closed-form stationary solution for the given model.
+
+    * A: the steady flux equals ``alpha`` everywhere, which integrates to
+      ``rho(x) = (C - alpha * int_0^x exp(-V)) * exp(V)`` with
+      ``C = alpha * (exp(-V(1))/beta + int_0^1 exp(-V))``; the outflow value
+      is then ``rho(1) = alpha / beta`` exactly.
+    * B: ``(alpha/beta) e^V``.
+    * C: always inside (0, 1), evaluated as the logistic
+      ``1 / (1 + (beta/alpha) exp(-V))``, which stays stable for large
+      potentials.
+    """
+    d = discretize(model, grid)
+    alpha, beta = model.alpha, model.beta
+    if model.model == "A":
+        cum = _cumulative_exp_neg(d)
+        c = alpha * (d.exp_neg_v[-1] / beta + cum[-1])
+        values = (c - alpha * cum) * d.exp_v
+    elif model.model == "B":
+        values = (alpha / beta) * d.exp_v
+    else:
+        values = 1.0 / (1.0 + (beta / alpha) * d.exp_neg_v)
+    return _solution(d, values, "closed-form")
 
 
-def slotboom_system(model: ModelSpec, grid: Grid):
+def slotboom_system(d: Discretization):
     """Assemble the steady tridiagonal system in the variable u = rho e^{-V}.
 
     Rows are flux balances over node cells (half cells at the boundary).
@@ -111,10 +89,6 @@ def slotboom_system(model: ModelSpec, grid: Grid):
 
     Returns ``(lower, diag, upper, rhs)``.
     """
-    return _slotboom(discretize(model, grid))
-
-
-def _slotboom(d: Discretization):
     model, n = d.model, d.grid.n
     if model.model not in ("A", "B"):
         raise InvalidModelError("the Slotboom solve covers the linear models A and B")
@@ -146,9 +120,9 @@ def stationary_numeric(
     the exact nodal solution and is returned as such.
     """
     if model.model == "C":
-        return stationary_modelC_closed(model.alpha, model.beta, model.potential, grid)
+        return stationary_closed(model, grid)
     d = discretize(model, grid)
-    u = solve_refined(*_slotboom(d), guess=guess)
+    u = solve_refined(*slotboom_system(d), guess=guess)
     return _solution(d, u * d.exp_v, "numeric")
 
 
@@ -186,10 +160,3 @@ def nodal_residual(d: Discretization, rho: FloatArray) -> FloatArray:
             reaction = model.alpha * (1.0 - rho) - model.beta * rho * d.exp_neg_v
     return (faces[..., 1:] - faces[..., :-1]) / d.volumes - reaction
 
-
-def steady_residual(field: DensityField, model: ModelSpec) -> FloatArray:
-    """Nodal residual of the discrete steady equation, in symmetrized form.
-
-    See :func:`nodal_residual` for the discretization.
-    """
-    return nodal_residual(discretize(model, field.grid), field.values)

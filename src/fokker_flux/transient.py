@@ -62,8 +62,9 @@ class SolverConfig:
     """Time-stepping parameters.
 
     ``observe_every`` is the step stride of the observer samples; the
-    explicit scheme additionally requires ``dt <= cfl_max_dt`` and, for
-    models A and B, a step matrix ``T >= 0`` (the positivity certificate).
+    explicit scheme additionally requires ``dt <= Discretization.max_dt``
+    and, for models A and B, a step matrix ``T >= 0`` (the positivity
+    certificate).
     """
 
     dt: float
@@ -137,25 +138,12 @@ _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 OBSERVER_BLOCK = 64
 
 
-def cfl_max_dt(model: ModelSpec, grid: Grid) -> float:
-    """Stability bound dx^2 / (2 + dx sup|V'|) for the explicit scheme
-    (:attr:`~fokker_flux.domain.Discretization.max_dt`)."""
-    return discretize(model, grid).max_dt
-
-
 def _check_cfl(d: Discretization, dt: float) -> None:
     if dt > d.max_dt:
         raise StabilityError(
             f"dt={dt} exceeds the explicit stability bound {d.max_dt:.6e}; "
             "lower dt (run configurations accept dt='auto' for half the bound)"
         )
-
-
-def face_flux(rho: DensityField, model: ModelSpec, face: int) -> float:
-    """Flux through the interior face between nodes ``face`` and ``face + 1``."""
-    if not 0 <= face <= rho.grid.n - 2:
-        raise IndexError(f"interior faces are 0 .. {rho.grid.n - 2}, got {face}")
-    return float(flux_field(rho, model).values[face + 1])
 
 
 def flux_field(rho: DensityField, model: ModelSpec) -> FluxField:
@@ -168,19 +156,14 @@ def flux_field(rho: DensityField, model: ModelSpec) -> FluxField:
     return FluxField(faces, rho.grid)
 
 
-def residual_stationary(rho, model):
-    """Sup-norm of the discrete steady-state equation at ``rho``.
+def residual_stationary(rows: FloatArray, d: Discretization) -> FloatArray:
+    """Sup-norm of the discrete steady-state equation at each row of an
+    ``(m, n)`` block of nodal values on the run's discretization ``d``.
 
-    ``rho`` is a DensityField and ``model`` its ModelSpec, or ``rho`` is an
-    ``(m, n)`` block of nodal values and ``model`` the run's
-    :class:`~fokker_flux.domain.Discretization` (one norm per row). See
-    :func:`fokker_flux.stationary.nodal_residual` for the exact form
+    See :func:`fokker_flux.stationary.nodal_residual` for the exact form
     (symmetrized fluxes, half-cell boundary rows).
     """
-    if isinstance(rho, DensityField):
-        model, rho = discretize(model, rho.grid), rho.values
-    sup = np.max(np.abs(nodal_residual(model, rho)), axis=-1)
-    return float(sup) if sup.ndim == 0 else sup
+    return np.max(np.abs(nodal_residual(d, rows)), axis=-1)
 
 
 class _ExplicitStepper:
@@ -320,7 +303,7 @@ def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
 
 
 def step_explicit(rho: DensityField, model: ModelSpec, dt: float) -> DensityField:
-    """One explicit step; requires ``dt <= cfl_max_dt(model, grid)``."""
+    """One explicit step; requires ``dt <= discretize(model, grid).max_dt``."""
     d = discretize(model, rho.grid)
     _check_cfl(d, dt)
     work = rho.values.copy()
@@ -503,7 +486,8 @@ def run_transient(
 
     The observers run once per block of ``OBSERVER_BLOCK`` samples (and
     once for the last, partial one), each on all rows at once. A series too
-    long to allocate is a ConfigError.
+    long to allocate is a ConfigError, and so is a step matrix too large to
+    allocate.
 
     Models A and B on the explicit scheme do not step one by one: their
     samples on the stride are computed a block at a time with powers of the
@@ -584,7 +568,13 @@ def run_transient(
             jumps.add(stride)
         # small dense products: more BLAS threads only wait for each other (blas.py)
         with serial_blas():
-            powers = explicit.jump_matrices(dt, jumps) if jumps else {}
+            try:
+                powers = explicit.jump_matrices(dt, jumps) if jumps else {}
+            except MemoryError as err:
+                raise ConfigError(
+                    f"cannot allocate the dense {grid.n + 1}x{grid.n + 1} step matrix of the "
+                    f"propagator at n={grid.n}; lower n"
+                ) from err
             first = 0  # sample index of the block's first row
             for rows in _strided_blocks(rho, powers.get(stride), strided):
                 end, states = first + len(rows), rows[:, :-1]

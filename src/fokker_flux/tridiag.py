@@ -56,9 +56,8 @@ def solve_refined(
     upper: FloatArray,
     rhs: FloatArray,
     guess: FloatArray | None = None,
-    passes: int = 1,
 ) -> FloatArray:
-    """Direct solve followed by ``passes`` rounds of iterative refinement.
+    """Direct solve followed by one round of iterative refinement.
 
     When a ``guess`` is supplied the solve starts from it by correcting its
     defect, so different guesses converge to the same solution up to
@@ -69,7 +68,5 @@ def solve_refined(
     else:
         defect = rhs - apply_tridiagonal(lower, diag, upper, guess)
         x = guess + solve_tridiagonal(lower, diag, upper, defect)
-    for _ in range(passes):
-        defect = rhs - apply_tridiagonal(lower, diag, upper, x)
-        x = x + solve_tridiagonal(lower, diag, upper, defect)
-    return x
+    defect = rhs - apply_tridiagonal(lower, diag, upper, x)
+    return x + solve_tridiagonal(lower, diag, upper, defect)

@@ -9,6 +9,7 @@ from fokker_flux import (
     ConfigError,
     FitError,
     config_from_dict,
+    discretize,
     execute,
     gamma_sweep,
     mass_evolution,
@@ -18,6 +19,7 @@ from fokker_flux import (
 )
 from fokker_flux.cli import main
 from fokker_flux.experiments import CSV_ROWS, _write_csv
+from fokker_flux.transient import _ExplicitStepper
 
 TINY = {
     "model": "A",
@@ -73,6 +75,9 @@ def test_config_gamma_needs_scaled_potential():
 def test_config_validates_initial_payload():
     with pytest.raises(ConfigError, match="tabulated initial"):
         config_from_dict(dict(TINY, initial={"kind": "tabulated"}))
+    for key in ("initial", "potential"):
+        with pytest.raises(ConfigError, match=f"tabulated {key} .* list of numbers"):
+            config_from_dict(dict(TINY, **{key: {"kind": "tabulated", "values": ["a"]}}))
     with pytest.raises(ConfigError, match="coefficient"):
         config_from_dict(dict(TINY, initial={"kind": "affine", "a": "steep"}))
     cfg = config_from_dict(dict(TINY, initial={"kind": "tabulated", "values": [1.0] * 60}))
@@ -82,6 +87,9 @@ def test_config_validates_initial_payload():
 def test_config_rejects_bad_emit_and_scheme():
     with pytest.raises(ConfigError, match="emit"):
         config_from_dict(dict(TINY, emit=["plots"]))
+    for emit in (5, "svg"):
+        with pytest.raises(ConfigError, match="emit must be a list of strings"):
+            config_from_dict(dict(TINY, emit=emit))
     with pytest.raises(ConfigError, match="implicit-entropy"):
         config_from_dict(dict(TINY, scheme="implicit-entropy"))
 
@@ -89,9 +97,7 @@ def test_config_rejects_bad_emit_and_scheme():
 def test_config_auto_dt_resolves_to_half_bound():
     cfg = config_from_dict(dict(TINY, dt="auto"))
     model, grid = cfg.model_spec(), cfg.grid()
-    from fokker_flux import cfl_max_dt
-
-    assert cfg.resolve_dt(model, grid) == pytest.approx(0.5 * cfl_max_dt(model, grid))
+    assert cfg.resolve_dt(model, grid) == pytest.approx(0.5 * discretize(model, grid).max_dt)
 
 
 # ------------------------------------------------------------- artifacts
@@ -386,11 +392,9 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_dt_breaking_positivity_exits_2(tmp_path, capsys):
-    # V' = 0 at dt = cfl_max_dt: within the stability bound, outside T >= 0
-    from fokker_flux import cfl_max_dt
-
+    # V' = 0 at dt = max_dt: within the stability bound, outside T >= 0
     config = preset_config("entropy-A-gamma0")
-    limit = cfl_max_dt(config.model_spec(), config.grid())
+    limit = discretize(config.model_spec(), config.grid()).max_dt
     code = main(["preset", "entropy-A-gamma0", "--out", str(tmp_path / "x"),
                  "--set", f"dt={limit!r}", "--set", "t_end=0.001"])
     assert code == 2
@@ -406,6 +410,20 @@ def test_cli_unallocatable_sample_series_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot allocate the 6e+15 observer samples" in err
     assert "raise observe_every or dt" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_unallocatable_propagator_exits_2(tmp_path, capsys, monkeypatch):
+    # the dense (n + 1)^2 step matrix fails to allocate; no test requests a real
+    # one that large, which an overcommitting system would grant and then fill
+    def refuse(self, dt):
+        raise MemoryError
+
+    monkeypatch.setattr(_ExplicitStepper, "affine_matrix", refuse)
+    code = main(["preset", "entropy-A", "--out", str(tmp_path / "x"),
+                 "--set", "n=60", "--set", "t_end=0.01"])
+    assert code == 2
+    assert "step matrix of the propagator at n=60" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -429,6 +447,10 @@ def test_cli_eigen(capsys):
 
 def test_cli_eigen_bad_weights(capsys):
     assert main(["eigen", "--beta", "1.0", "--weights", "oops"]) == 2
+    for beta in ("0", "-1", "nan"):
+        assert main(["eigen", "--beta", beta]) == 2
+    assert main(["eigen", "--beta", "1.0", "--weights", "0,1"]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
 
 
 def test_cli_preset_with_overrides(tmp_path, capsys):

@@ -17,11 +17,12 @@ from fokker_flux import (
     SolverConfig,
     build_grid,
     build_initial,
+    discretize,
     entropy,
     l1_distance,
+    nodal_residual,
     node_average,
     preset_config,
-    residual_stationary,
     run_transient,
     stationary_numeric,
     trapezoid,
@@ -41,7 +42,10 @@ def loop_observers(traj, model):
         "mass": [trapezoid(f.values, f.grid.dx) for f in fields],
         "node_mass": [node_average(f.values) for f in fields],
         "l1": [l1_distance(f, ref) for f in fields],
-        "residual": [residual_stationary(f, model) for f in fields],
+        "residual": [
+            float(np.max(np.abs(nodal_residual(discretize(model, f.grid), f.values))))
+            for f in fields
+        ],
         "outflow_density": [float(f.values[-1]) for f in fields],
     }
 

@@ -11,7 +11,7 @@ from fokker_flux import (  # noqa: E402
     ModelSpec,
     PotentialSpec,
     build_grid,
-    cfl_max_dt,
+    discretize,
     step_explicit,
     trapezoid,
 )
@@ -40,12 +40,12 @@ def states(draw, model_name):
 def positivity_bound(model, grid):
     """The stability bound, and for model A also its outflow term.
 
-    ``cfl_max_dt`` leaves out the outflow ``beta rho`` of model A's half
+    ``Discretization.max_dt`` leaves out the outflow ``beta rho`` of model A's half
     cell at x = 1: with it, the diagonal of the step matrix there is
     ``1 - (2 dt/dx)(beta + 1/dx - V'/2)``, nonnegative for
     ``dt <= dx^2 / (2 + dx (2 beta + sup|V'|))``.
     """
-    bound = cfl_max_dt(model, grid)
+    bound = discretize(model, grid).max_dt
     if model.model == "A":
         slope = abs(model.potential.slope)
         bound = min(bound, grid.dx**2 / (2.0 + grid.dx * (2.0 * model.beta + slope)))
@@ -56,7 +56,7 @@ def positivity_bound(model, grid):
 @given(states("A"), fractions)
 def test_model_A_step_keeps_the_discrete_mass_balance(drawn, fraction):
     model, grid, rho = drawn
-    dt = fraction * cfl_max_dt(model, grid)
+    dt = fraction * discretize(model, grid).max_dt
     after = step_explicit(rho, model, dt)
     gap = (trapezoid(after.values, grid.dx) - trapezoid(rho.values, grid.dx)) - dt * (
         model.alpha - model.beta * rho.values[-1]

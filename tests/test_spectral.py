@@ -31,6 +31,8 @@ def test_friedrichs_dirichlet_limit():
     res = friedrichs_k(1e6, 1e6)
     assert res.k == pytest.approx(math.pi, abs=1e-3)
     assert res.root_residual < 1e-12
+    # sin(float pi) > 0 puts the root between float pi and pi
+    assert friedrichs_k(1e100, 1e100).k == math.pi
 
 
 def test_friedrichs_rejects_nonpositive_weights():
@@ -38,6 +40,9 @@ def test_friedrichs_rejects_nonpositive_weights():
         friedrichs_k(0.0, 0.5)
     with pytest.raises(RootNotFoundError):
         friedrichs_k(0.5, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(RootNotFoundError):
+            friedrichs_k(bad, 0.5)
 
 
 def test_symmetric_reference_values():
@@ -53,6 +58,8 @@ def test_symmetric_reference_values():
 def test_symmetric_small_beta_asymptotics():
     res = symmetric_k(1e-8)
     assert res.k == pytest.approx(1e-4, rel=1e-4)  # k ~ sqrt(beta)
+    # a root below 1e-8 is found as well, not the second root near pi
+    assert symmetric_k(1e-20).k == pytest.approx(1e-10, rel=1e-9)
 
 
 def test_symmetric_large_beta_limit():
@@ -63,6 +70,9 @@ def test_symmetric_large_beta_limit():
 def test_symmetric_rejects_nonpositive_beta():
     with pytest.raises(RootNotFoundError):
         symmetric_k(0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(RootNotFoundError):
+            symmetric_k(bad)
 
 
 @pytest.mark.parametrize("solver,args", [(friedrichs_k, (0.5, 0.5)), (symmetric_k, (1.0,))])

@@ -8,13 +8,11 @@ from fokker_flux import (
     ModelSpec,
     PotentialSpec,
     build_grid,
+    discretize,
+    nodal_residual,
     slotboom_system,
     stationary_closed,
-    stationary_modelA_closed,
-    stationary_modelB_closed,
-    stationary_modelC_closed,
     stationary_numeric,
-    steady_residual,
     trapezoid,
 )
 
@@ -30,20 +28,20 @@ def direct_integration_A(x, alpha, beta):
 
 def test_modelA_closed_matches_direct_integration():
     g = build_grid(200)
-    sol = stationary_modelA_closed(1.0, 0.9, LINEAR, g)
+    sol = stationary_closed(ModelSpec("A", 1.0, 0.9, LINEAR), g)
     assert np.max(np.abs(sol.field.values - direct_integration_A(g.nodes, 1.0, 0.9))) < 1e-13
 
 
 def test_modelA_outflow_identity_exact():
     for beta in (0.5, 0.9, 1.0, 2.0):
         g = build_grid(101)
-        sol = stationary_modelA_closed(1.0, beta, LINEAR, g)
+        sol = stationary_closed(ModelSpec("A", 1.0, beta, LINEAR), g)
         assert sol.field.values[-1] == pytest.approx(1.0 / beta, rel=1e-14)
 
 
 def test_modelA_equilibrium_mass():
     g = build_grid(200)
-    sol = stationary_modelA_closed(1.0, 0.9, LINEAR, g)
+    sol = stationary_closed(ModelSpec("A", 1.0, 0.9, LINEAR), g)
     assert trapezoid(sol.field.values, g.dx) == pytest.approx(1.0703, abs=2e-3)
 
 
@@ -51,7 +49,7 @@ def test_modelA_zero_potential_reduces_to_line():
     # with V = 0 the constant flux alpha integrates to rho = C - alpha x,
     # C = alpha (1/beta + 1); for alpha = beta = 1 the outflow value is 1
     g = build_grid(50)
-    sol = stationary_modelA_closed(1.0, 1.0, ZERO, g)
+    sol = stationary_closed(ModelSpec("A", 1.0, 1.0, ZERO), g)
     assert np.max(np.abs(sol.field.values - (2.0 - g.nodes))) < 1e-13
     assert sol.field.values[-1] == pytest.approx(1.0)
 
@@ -59,8 +57,8 @@ def test_modelA_zero_potential_reduces_to_line():
 def test_modelA_tabulated_potential_consistent_with_linear():
     g = build_grid(400)
     tab = PotentialSpec("tabulated", values=g.nodes.copy())
-    exact = stationary_modelA_closed(1.0, 0.9, LINEAR, g).field.values
-    approx = stationary_modelA_closed(1.0, 0.9, tab, g).field.values
+    exact = stationary_closed(ModelSpec("A", 1.0, 0.9, LINEAR), g).field.values
+    approx = stationary_closed(ModelSpec("A", 1.0, 0.9, tab), g).field.values
     assert np.max(np.abs(exact - approx)) < 1e-6  # trapezoid cumulative error
 
 
@@ -82,18 +80,18 @@ def test_nonlinear_tabulated_potential_routes_agree():
 
 def test_modelB_closed_values():
     g = build_grid(200)
-    assert np.all(stationary_modelB_closed(1.0, 1.0, ZERO, g).field.values == 1.0)
-    sol = stationary_modelB_closed(1.0, 0.9, LINEAR, g)
+    assert np.all(stationary_closed(ModelSpec("B", 1.0, 1.0, ZERO), g).field.values == 1.0)
+    sol = stationary_closed(ModelSpec("B", 1.0, 0.9, LINEAR), g)
     assert sol.field.values[-1] == pytest.approx(math.e / 0.9, rel=1e-14)
-    assert np.all(stationary_modelB_closed(2.0, 1.0, ZERO, g).field.values == 2.0)
+    assert np.all(stationary_closed(ModelSpec("B", 2.0, 1.0, ZERO), g).field.values == 2.0)
 
 
 def test_modelC_closed_values():
     g = build_grid(200)
-    assert np.all(stationary_modelC_closed(1.0, 1.0, ZERO, g).field.values == 0.5)
-    sol = stationary_modelC_closed(1.0, 0.9, LINEAR, g)
+    assert np.all(stationary_closed(ModelSpec("C", 1.0, 1.0, ZERO), g).field.values == 0.5)
+    sol = stationary_closed(ModelSpec("C", 1.0, 0.9, LINEAR), g)
     assert sol.field.values[-1] == pytest.approx(math.e / (0.9 + math.e), rel=1e-14)
-    tiny = stationary_modelC_closed(1e-6, 1.0, ZERO, g)
+    tiny = stationary_closed(ModelSpec("C", 1e-6, 1.0, ZERO), g)
     assert tiny.field.values[0] == pytest.approx(1e-6, rel=1e-5)
     assert 0.0 < tiny.field.values.min() and tiny.field.values.max() < 1.0
 
@@ -101,11 +99,11 @@ def test_modelC_closed_values():
 def test_rates_must_be_positive():
     g = build_grid(10)
     with pytest.raises(InvalidModelError):
-        stationary_modelA_closed(0.0, 1.0, LINEAR, g)
+        stationary_closed(ModelSpec("A", 0.0, 1.0, LINEAR), g)
     with pytest.raises(InvalidModelError):
-        stationary_modelB_closed(1.0, -1.0, LINEAR, g)
+        stationary_closed(ModelSpec("B", 1.0, -1.0, LINEAR), g)
     with pytest.raises(InvalidModelError):
-        stationary_modelC_closed(1.0, 0.0, LINEAR, g)
+        stationary_closed(ModelSpec("C", 1.0, 0.0, LINEAR), g)
 
 
 def test_numeric_matches_closed_form_model_A():
@@ -148,7 +146,7 @@ def test_numeric_model_C_delegates_to_closed_form():
 def test_slotboom_matrix_symmetric_and_dominant():
     g = build_grid(200)
     for m in (ModelSpec("A", 1.0, 0.9, LINEAR), ModelSpec("B", 1.0, 0.9, LINEAR)):
-        lower, diag, upper, _ = slotboom_system(m, g)
+        lower, diag, upper, _ = slotboom_system(discretize(m, g))
         assert np.array_equal(lower, upper)
         row_off = np.zeros_like(diag)
         row_off[:-1] += np.abs(upper)
@@ -160,7 +158,7 @@ def test_slotboom_matrix_symmetric_and_dominant():
 def test_slotboom_rejects_model_C():
     g = build_grid(10)
     with pytest.raises(InvalidModelError):
-        slotboom_system(ModelSpec("C", 1.0, 1.0, LINEAR), g)
+        slotboom_system(discretize(ModelSpec("C", 1.0, 1.0, LINEAR), g))
 
 
 def test_numeric_positivity():
@@ -192,7 +190,7 @@ def test_residual_of_closed_form_shrinks_under_refinement():
     sups, interiors = [], []
     for n in (100, 200, 400):
         g = build_grid(n)
-        r = steady_residual(stationary_closed(m, g).field, m)
+        r = nodal_residual(discretize(m, g), stationary_closed(m, g).field.values)
         sups.append(np.max(np.abs(r)))
         interiors.append(np.max(np.abs(r[1:-1])))
     assert 1.8 < sups[0] / sups[1] < 2.2
@@ -206,9 +204,7 @@ def test_residual_of_perturbed_model_B():
     g = build_grid(200)
     m = ModelSpec("B", 1.0, 0.9, LINEAR)
     shifted = stationary_closed(m, g).field.values + 0.1
-    from fokker_flux import DensityField
-
-    r = steady_residual(DensityField(shifted, g), m)
+    r = nodal_residual(discretize(m, g), shifted)
     expected = 0.1 * 0.9 * np.exp(-g.nodes[1:-1])
     assert np.max(np.abs(np.abs(r[1:-1]) - expected)) < 1e-3
     assert np.max(np.abs(r[1:-1])) == pytest.approx(0.09, abs=1e-3)

@@ -17,11 +17,9 @@ from fokker_flux import (
     StepFailureError,
     build_grid,
     build_initial,
-    cfl_max_dt,
     discretize,
     entropy,
     execute,
-    face_flux,
     flux_field,
     preset_config,
     residual_stationary,
@@ -52,20 +50,20 @@ def test_face_flux_constant_density_drift_only():
     g = build_grid(50)
     f = constant_field(g, 0.7)
     for i in (0, 10, 48):
-        assert face_flux(f, MODEL_A, i) == pytest.approx(0.7)
+        assert flux_field(f, MODEL_A).values[i + 1] == pytest.approx(0.7)
 
 
 def test_face_flux_zero_potential():
     g = build_grid(50)
     f = constant_field(g, 0.7)
     m = ModelSpec("A", 1.0, 1.0, ZERO)
-    assert face_flux(f, m, 5) == 0.0
+    assert flux_field(f, m).values[6] == 0.0
 
 
 def test_face_flux_crowded_mobility():
     g = build_grid(50)
     f = constant_field(g, 0.25)
-    assert face_flux(f, MODEL_C, 3) == pytest.approx(0.25 * 0.75)
+    assert flux_field(f, MODEL_C).values[4] == pytest.approx(0.25 * 0.75)
 
 
 def test_face_flux_on_stationary_profile_is_influx_rate():
@@ -79,15 +77,6 @@ def test_face_flux_on_stationary_profile_is_influx_rate():
         worst.append(np.max(np.abs(ff.values[1:-1] - 1.0)))
     assert worst[0] < 25 * (1.0 / 99) ** 2
     assert 3.5 < worst[0] / worst[1] < 4.5
-
-
-def test_face_flux_index_bounds():
-    g = build_grid(10)
-    f = constant_field(g, 1.0)
-    with pytest.raises(IndexError):
-        face_flux(f, MODEL_A, 9)
-    with pytest.raises(IndexError):
-        face_flux(f, MODEL_A, -1)
 
 
 def test_flux_field_boundary_faces():
@@ -106,13 +95,13 @@ def test_flux_field_boundary_faces():
 def test_cfl_zero_potential():
     g = build_grid(200)
     m = ModelSpec("A", 1.0, 1.0, ZERO)
-    assert cfl_max_dt(m, g) == pytest.approx(g.dx**2 / 2.0)
-    assert cfl_max_dt(m, g) == pytest.approx(1.263e-5, rel=1e-3)
+    assert discretize(m, g).max_dt == pytest.approx(g.dx**2 / 2.0)
+    assert discretize(m, g).max_dt == pytest.approx(1.263e-5, rel=1e-3)
 
 
 def test_cfl_linear_potential_and_reference_step():
     g = build_grid(200)
-    bound = cfl_max_dt(MODEL_A, g)
+    bound = discretize(MODEL_A, g).max_dt
     assert bound == pytest.approx(g.dx**2 / (2.0 + g.dx))
     assert 5e-6 < bound  # the reference time step passes the check
 
@@ -121,7 +110,7 @@ def test_cfl_empirical_no_blowup_at_half_bound():
     g = build_grid(60)
     m = ModelSpec("A", 1.0, 1.0, ZERO)
     init = build_initial(InitialSpec("affine", a=-0.1, b=1.2), g, m)
-    cfg = SolverConfig(dt=0.5 * cfl_max_dt(m, g), t_end=0.05, observe_every=50)
+    cfg = SolverConfig(dt=0.5 * discretize(m, g).max_dt, t_end=0.05, observe_every=50)
     traj = run_transient(m, init, cfg)
     assert np.all(np.isfinite(traj.final.values))
     assert traj.max_value < 10.0
@@ -379,12 +368,12 @@ def test_positivity_and_box_at_exact_stability_bound():
     g = build_grid(200)
     f = build_initial(InitialSpec("mass2"), g, MODEL_A)
     traj = run_transient(
-        MODEL_A, f, SolverConfig(dt=cfl_max_dt(MODEL_A, g), t_end=0.05, observe_every=1000)
+        MODEL_A, f, SolverConfig(dt=discretize(MODEL_A, g).max_dt, t_end=0.05, observe_every=1000)
     )
     assert traj.min_value >= -1e-12
     fc = build_initial(InitialSpec("parabola"), g, MODEL_C)
     trajc = run_transient(
-        MODEL_C, fc, SolverConfig(dt=cfl_max_dt(MODEL_C, g), t_end=0.05, observe_every=1000)
+        MODEL_C, fc, SolverConfig(dt=discretize(MODEL_C, g).max_dt, t_end=0.05, observe_every=1000)
     )
     assert trajc.min_value >= -1e-12 and trajc.max_value <= 1.0 + 1e-12
 
@@ -425,7 +414,7 @@ def test_implicit_run_failure_carries_time():
 def test_residual_stationary_of_numeric_solution():
     g = build_grid(200)
     sol = stationary_numeric(MODEL_A, g)
-    assert residual_stationary(sol.field, MODEL_A) < 1e-10
+    assert residual_stationary(sol.field.values[None], discretize(MODEL_A, g))[0] < 1e-10
 
 
 def test_transient_order_of_accuracy():
@@ -489,7 +478,7 @@ def test_positivity_certificate_rejects_gamma0_at_stability_bound():
     # so T[n-1, n-1] = -beta dx there
     config = preset_config("entropy-A-gamma0", {"t_end": 0.001})
     model, grid = config.model_spec(), config.grid()
-    limit = cfl_max_dt(model, grid)
+    limit = discretize(model, grid).max_dt
     with pytest.raises(StabilityError, match=r"T >= 0.*T\[199, 199\] = -5\.0"):
         execute(preset_config("entropy-A-gamma0", {"t_end": 0.001, "dt": limit}))
     summary, traj = execute(preset_config("entropy-A-gamma0", {"t_end": 0.001, "dt": "auto"}))
