@@ -82,14 +82,22 @@ def friedrichs_k(w0: float, w1: float) -> EigenResult:
     For w0 = w1 = 1/2 this is ``2k cos k + (1/2 - 2k^2) sin k = 0`` up to a
     factor 2, with smallest root near 0.9602. The equation is normalized by
     ``max(1, w0 w1, w0 + w1)`` so the root residual stays meaningful when
-    the weights are large (the Dirichlet limit k -> pi).
+    the weights are large (the Dirichlet limit k -> pi). Where ``w0 w1``
+    overflows, the division by it is carried out term by term instead.
     """
-    if not (w0 > 0.0 and w1 > 0.0):
-        raise RootNotFoundError(f"boundary weights must be positive, got {w0}, {w1}")
+    if not (0.0 < w0 < math.inf and 0.0 < w1 < math.inf):
+        raise RootNotFoundError(f"boundary weights must be positive and finite, got {w0}, {w1}")
     scale = max(1.0, w0 * w1, w0 + w1)
+    if math.isinf(scale):  # w0 w1 overflows
+        inv_sum = 1.0 / w0 + 1.0 / w1
 
-    def g(k: float) -> float:
-        return ((w0 * w1 - k * k) * math.sin(k) + k * (w0 + w1) * math.cos(k)) / scale
+        def g(k: float) -> float:
+            return (1.0 - (k / w0) * (k / w1)) * math.sin(k) + k * inv_sum * math.cos(k)
+
+    else:
+
+        def g(k: float) -> float:
+            return ((w0 * w1 - k * k) * math.sin(k) + k * (w0 + w1) * math.cos(k)) / scale
 
     # the root is near sqrt(w0 w1 + w0 + w1) when that is small
     return _solve(g, min(1e-8, 0.5 * math.sqrt(w0 * w1 + w0 + w1)), "friedrichs")

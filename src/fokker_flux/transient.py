@@ -45,7 +45,7 @@ from .errors import (
     StepFailureError,
 )
 from .stationary import StationarySolution, nodal_residual, stationary_numeric
-from .tridiag import solve_tridiagonal
+from .tridiag import invert_tridiagonal, solve_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,9 @@ class Trajectory:
     the certificate checked when the propagator is built (see
     :meth:`_ExplicitStepper.affine_matrix`). ``newton_iterations``
     counts the Thomas solves of the implicit scheme's Newton iterations,
-    ``newton_max_per_step`` the most in one step; both are 0 when explicit.
+    ``newton_max_per_step`` the most in one step, and ``chord_iterations``
+    its chord iterations (one product with a held Jacobian inverse each,
+    discarded trials included); all are 0 when explicit.
     """
 
     times: FloatArray
@@ -126,6 +128,7 @@ class Trajectory:
     dt: float
     newton_iterations: int = 0
     newton_max_per_step: int = 0
+    chord_iterations: int = 0
 
 
 _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
@@ -136,6 +139,23 @@ _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 # see _strided_blocks); model C copies each sample in. 128 rows ran no
 # faster and raised the peak memory of an explicit-A benchmark round by 0.9 MB.
 OBSERVER_BLOCK = 64
+
+# The implicit scheme holds a dense Jacobian inverse (8 n^2 bytes) for its
+# chord iterations only up to this n. On one thread of a 2-core x86 VM a
+# product with it took 10 / 33 / 443 us against 113 / 247 / 665 us for a
+# Thomas solve at n = 200 / 400 / 1024, but a run takes about 2.3 products
+# per step in its first 1500 steps, and the inverse costs 1.3 ms at n = 200.
+# Over those steps (entropy-C, dt 1e-3) the chord run took 0.53-0.67 s
+# against 0.76-0.83 s at n = 400, and 0.84-0.94 s against 0.79-0.94 s at
+# n = 500.
+CHORD_MAX_N = 400
+# A chord trial is kept when it meets the tolerance or cuts the residual
+# sup-norm to this fraction or less; otherwise damped Newton takes over and
+# refreshes the inverse. Over the 3700 steps of an entropy-C run at n = 200,
+# dt 1e-3 (affine data 0.5 + 0.05 x), 0.01 / 0.02 / 0.03 / 0.1 took
+# 27 / 14 / 10 / 3 refreshes (1.3 ms each) and 1.62 / 1.66 / 1.83 / 2.43
+# chord iterations (about 45 us each) per step: 0.02 costs the least.
+CHORD_CONTRACTION = 0.02
 
 
 def _check_cfl(d: Discretization, dt: float) -> None:
@@ -321,6 +341,13 @@ class _ImplicitStepper:
     -f(mean rho) (u_{i+1} - u_i)/dx, reactions as in the crowded model, and
     the nonlinear system is solved by damped Newton on the cell balances;
     ``solves`` counts the Newton iterations (one Thomas solve each).
+
+    Up to ``n = CHORD_MAX_N`` the stepper also holds ``inverse``, the dense
+    inverse of a recent Newton Jacobian, formed for the step size
+    ``inverse_dt``. A solve from an extrapolated guess first takes chord
+    iterations ``u <- u - inverse G(u)`` (counted in ``chord_iterations``)
+    and falls back to damped Newton, refreshing the inverse, when one
+    stops contracting (see :meth:`_newton`).
     """
 
     def __init__(self, d: Discretization, newton: NewtonConfig):
@@ -331,6 +358,9 @@ class _ImplicitStepper:
         self.newton = newton
         self.v, self.emv, self.vol = d.v, d.exp_neg_v, d.volumes
         self.solves = 0
+        self.chord = d.grid.n <= CHORD_MAX_N
+        self.inverse = self.inverse_dt = None
+        self.chord_iterations = 0
 
     @staticmethod
     def _logistic(z: FloatArray) -> FloatArray:
@@ -380,21 +410,44 @@ class _ImplicitStepper:
     def _norm(self, G: FloatArray) -> float:
         return float(np.max(np.abs(G / self.vol)))
 
-    def _newton(self, u: FloatArray, rho_old: FloatArray, dt: float):
+    def _newton(self, u: FloatArray, rho_old: FloatArray, dt: float, chord: bool = False):
         """Damped Newton from ``u``: the new density and the accepted iterate.
 
         A line-search trial evaluates only ``G``; the accepted trial point is
         the next Newton iterate, so its ``G`` is not evaluated again.
+
+        With ``chord``, chord iterations with the held inverse come first
+        when it was formed for this ``dt``. A chord trial is kept only if it
+        meets the tolerance or cuts the residual norm by
+        ``CHORD_CONTRACTION``; the first that does neither is discarded, and
+        damped Newton continues from the last kept iterate, its first
+        Jacobian replacing the inverse. Chord and Newton iterations share
+        ``max_iter``.
         """
         cfg = self.newton
         G, terms = self._residual(u, rho_old, dt)
         norm = self._norm(G)
-        for _ in range(cfg.max_iter):
+        iterations = 0
+        if chord and self.inverse_dt == dt:
+            while iterations < cfg.max_iter and not norm < cfg.tolerance:
+                iterations += 1
+                self.chord_iterations += 1
+                trial = u - self.inverse @ G
+                trial_G, trial_terms = self._residual(trial, rho_old, dt)
+                trial_norm = self._norm(trial_G)
+                if not (trial_norm < cfg.tolerance or trial_norm <= CHORD_CONTRACTION * norm):
+                    break
+                u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
+        for _ in range(cfg.max_iter - iterations):
             if norm < cfg.tolerance:
                 return terms[0], u
             self.solves += 1
+            jacobian = self._jacobian(*terms, dt)
             try:
-                delta = solve_tridiagonal(*self._jacobian(*terms, dt), -G)
+                delta = solve_tridiagonal(*jacobian, -G)
+                if chord:
+                    self.inverse, self.inverse_dt = invert_tridiagonal(*jacobian), dt
+                    chord = False
             except IterationError as err:
                 raise StepFailureError(
                     f"singular Newton Jacobian ({err}; residual {norm:.3e})", residual=norm
@@ -424,11 +477,13 @@ class _ImplicitStepper:
         variable of ``rho_old`` (in a run, the last accepted iterate up to
         roundoff); a failure from ``guess`` is retried once from there, the
         start of a step without a guess. ``solves`` counts the iterations
-        of both attempts.
+        of both attempts. Only the attempt from ``guess`` takes chord
+        iterations and forms the inverse (while ``n <= CHORD_MAX_N``); the
+        retry and a solve without a guess are plain damped Newton.
         """
         if guess is not None:
             try:
-                return self._newton(guess, rho_old, dt)
+                return self._newton(guess, rho_old, dt, self.chord)
             except StepFailureError:
                 pass
         return self._newton(self.entropy_variable(rho_old), rho_old, dt)
@@ -497,7 +552,9 @@ def run_transient(
     (:meth:`_ExplicitStepper.jump_matrices`). Model C steps, copying each
     sample into a block; on the implicit scheme each Newton solve starts
     from the extrapolation of the last accepted entropy variables
-    (:func:`_extrapolate`).
+    (:func:`_extrapolate`), and up to ``n = CHORD_MAX_N`` takes chord
+    iterations with a held Jacobian inverse before any Newton iteration
+    (:meth:`_ImplicitStepper._newton`), on one BLAS thread.
     """
     grid = initial.grid
     initial.validate_for_model(model, strict_box=config.scheme == "implicit-entropy")
@@ -606,39 +663,42 @@ def run_transient(
                 times[-1] = steps * dt
                 observe(rho[None])
     else:
-        block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
-        pending = 0  # samples waiting in the block
-        history = [] if implicit is None else [implicit.entropy_variable(rho)]  # u^0, u^1, ..
-        for k in range(steps + 1):
-            if k and implicit is None:
-                explicit.step(rho, dt)
-            elif k:
-                solves = implicit.solves
-                try:
-                    rho, u = implicit.solve(rho, dt, _extrapolate(history) if k > 1 else None)
-                except StepFailureError as err:
-                    raise StepFailureError(
-                        f"implicit step failed at t={k * dt:.6g}: {err}",
-                        residual=err.residual,
-                        time=k * dt,
-                    ) from err
-                newton_max = max(newton_max, implicit.solves - solves)
-                history = [*history[-2:], u]
-            lo, hi = float(rho.min()), float(rho.max())
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                observe(block[:pending])  # an observer error of an earlier sample comes first
-                raise diverged(k)
-            min_value, max_value = min(min_value, lo), max(max_value, hi)
-            if k in snap_lookup:
-                snapshots.append((snap_lookup[k], DensityField(rho.copy(), grid)))
-            if k % stride == 0 or k == steps:
-                times[done + pending] = k * dt
-                block[pending] = rho
-                pending += 1
-                if pending == len(block):
-                    observe(block)
-                    pending = 0
-        observe(block[:pending])
+        # the implicit scheme's chord products with the held inverse are small
+        # dense ones: one BLAS thread, as for the propagator (blas.py)
+        with serial_blas():
+            block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
+            pending = 0  # samples waiting in the block
+            history = [] if implicit is None else [implicit.entropy_variable(rho)]  # u^0, u^1, ..
+            for k in range(steps + 1):
+                if k and implicit is None:
+                    explicit.step(rho, dt)
+                elif k:
+                    solves = implicit.solves
+                    try:
+                        rho, u = implicit.solve(rho, dt, _extrapolate(history) if k > 1 else None)
+                    except StepFailureError as err:
+                        raise StepFailureError(
+                            f"implicit step failed at t={k * dt:.6g}: {err}",
+                            residual=err.residual,
+                            time=k * dt,
+                        ) from err
+                    newton_max = max(newton_max, implicit.solves - solves)
+                    history = [*history[-2:], u]
+                lo, hi = float(rho.min()), float(rho.max())
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    observe(block[:pending])  # an observer error of an earlier sample comes first
+                    raise diverged(k)
+                min_value, max_value = min(min_value, lo), max(max_value, hi)
+                if k in snap_lookup:
+                    snapshots.append((snap_lookup[k], DensityField(rho.copy(), grid)))
+                if k % stride == 0 or k == steps:
+                    times[done + pending] = k * dt
+                    block[pending] = rho
+                    pending += 1
+                    if pending == len(block):
+                        observe(block)
+                        pending = 0
+            observe(block[:pending])
 
     for series in (times, ent, mass_tz, mass_na, l1s, resid, outflow):
         series.setflags(write=False)
@@ -661,4 +721,5 @@ def run_transient(
         dt=dt,
         newton_iterations=0 if implicit is None else implicit.solves,
         newton_max_per_step=newton_max,
+        chord_iterations=0 if implicit is None else implicit.chord_iterations,
     )

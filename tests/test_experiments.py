@@ -445,6 +445,11 @@ def test_cli_eigen(capsys):
     assert payload["friedrichs"]["rate"] == pytest.approx(1.8439, abs=2e-3)
 
 
+def test_cli_eigen_weights_whose_product_overflows(capsys):
+    assert main(["eigen", "--beta", "1", "--weights", "1e200,1e200"]) == 0
+    assert json.loads(capsys.readouterr().out)["friedrichs"]["k"] == math.pi
+
+
 def test_cli_eigen_bad_weights(capsys):
     assert main(["eigen", "--beta", "1.0", "--weights", "oops"]) == 2
     for beta in ("0", "-1", "nan"):

@@ -177,3 +177,115 @@ def test_logistic_equals_the_branched_form():
         z = scale * rng.standard_normal(500)
         z[:3] = (0.0, -0.0, scale)
         assert np.array_equal(_ImplicitStepper._logistic(z), branched_logistic(z))
+
+
+def plain_newton(stepper, u, rho_old, dt):
+    """Damped Newton from ``u`` with no chord iterations: the new density
+    and the accepted iterate, as the implicit step made them before it held
+    a Jacobian inverse."""
+    cfg = stepper.newton
+    G, terms = stepper._residual(u, rho_old, dt)
+    norm = stepper._norm(G)
+    for _ in range(cfg.max_iter):
+        if norm < cfg.tolerance:
+            return terms[0], u
+        delta = transient.solve_tridiagonal(*stepper._jacobian(*terms, dt), -G)
+        damping = 1.0
+        for _ in range(cfg.max_backtracks + 1):
+            trial = u + damping * delta
+            trial_G, trial_terms = stepper._residual(trial, rho_old, dt)
+            trial_norm = stepper._norm(trial_G)
+            if trial_norm < norm:
+                break
+            damping *= 0.5
+        u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
+    if norm < cfg.tolerance:
+        return terms[0], u
+    raise StepFailureError(f"no convergence (residual {norm:.3e})", residual=norm)
+
+
+def plain_solve(self, rho_old, dt, guess=None):
+    if guess is not None:
+        try:
+            return plain_newton(self, guess, rho_old, dt)
+        except StepFailureError:
+            pass
+    return plain_newton(self, self.entropy_variable(rho_old), rho_old, dt)
+
+
+@pytest.mark.parametrize(
+    "dt, n, t_end", [(1e-3, 200, 0.5), (2e-2, 100, 12.0), (1e-4, 200, 0.05)]
+)
+def test_chord_run_agrees_with_plain_newton_run(dt, n, t_end, monkeypatch):
+    config = implicit_config(dt, n, t_end)
+    summary, traj = execute(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(transient, "CHORD_MAX_N", 0)  # the stepper never holds an inverse
+        ref_summary, ref = execute(config)
+    assert ref.chord_iterations == 0 < traj.chord_iterations
+    assert traj.newton_iterations < ref.newton_iterations
+    assert traj.chord_iterations + traj.newton_iterations >= traj.steps
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.final.values - ref.final.values)) <= 1e-10
+    assert np.max(np.abs(traj.entropy - ref.entropy)) <= 1e-10
+    assert np.max(np.abs(traj.l1 - ref.l1)) <= 1e-10
+    assert summary.fitted_rate == pytest.approx(ref_summary.fitted_rate, rel=1e-6)
+    # the same allowance as for the extrapolated start: an ulp either way at
+    # roundoff-level entropy
+    rises = np.diff(traj.entropy)
+    above_roundoff = traj.entropy[1:] > 1e-14
+    assert np.all(rises[above_roundoff] <= 0.0)
+    assert np.all(rises <= 1e-15)
+
+
+def test_bad_held_inverse_falls_back_to_newton():
+    g = build_grid(60)
+    dt = 1e-2
+    rho_old = np.random.default_rng(6).uniform(0.02, 0.98, g.n)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
+    guess = stepper.entropy_variable(rho_old) + 0.05
+    G, terms = stepper._residual(guess, rho_old, dt)
+    inverse = transient.invert_tridiagonal(*stepper._jacobian(*terms, dt))
+    stepper.inverse, stepper.inverse_dt = 2.0 * inverse, dt  # the chord step overshoots 2x
+    rho, u = stepper.solve(rho_old, dt, guess)
+    assert stepper.chord_iterations == 1  # the one trial, discarded
+    assert stepper.solves >= 1
+    assert stepper._norm(stepper._residual(u, rho_old, dt)[0]) < stepper.newton.tolerance
+    # Newton continued from the guess, and its first Jacobian is the one at the guess
+    want_rho, want_u = plain_newton(stepper, guess, rho_old, dt)
+    assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
+    assert np.array_equal(stepper.inverse, inverse)
+
+
+def test_run_above_the_chord_bound_is_the_plain_newton_run(monkeypatch):
+    config = preset_config("entropy-C", {
+        "scheme": "implicit-entropy", "dt": 1e-3, "n": transient.CHORD_MAX_N + 1,
+        "t_end": 0.02, "observe_every": 1, "initial": {"kind": "affine", "a": 0.1, "b": 0.45},
+    })
+    summary, traj = execute(config)
+    monkeypatch.setattr(_ImplicitStepper, "solve", plain_solve)
+    ref_summary, ref = execute(config)
+    assert traj.chord_iterations == 0 and traj.newton_iterations > 0
+    assert np.array_equal(traj.final.values, ref.final.values)
+    for series in ("entropy", "mass", "l1", "residual"):
+        assert np.array_equal(getattr(traj, series), getattr(ref, series))
+    assert summary.fitted_rate == ref_summary.fitted_rate
+
+
+def test_retry_and_step_without_guess_take_no_chord_iterations():
+    g = build_grid(60)
+    dt = 1e-2
+    rho_old = np.random.default_rng(7).uniform(0.02, 0.98, g.n)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
+    start = stepper.entropy_variable(rho_old)
+    want_rho, want_u = plain_newton(stepper, start, rho_old, dt)
+    G, terms = stepper._residual(start, rho_old, dt)
+    stepper.inverse = transient.invert_tridiagonal(*stepper._jacobian(*terms, dt))
+    stepper.inverse_dt = dt
+    assert np.array_equal(stepper.step(rho_old, dt), want_rho)
+    assert stepper.chord_iterations == 0
+    # a NaN guess fails after one chord trial; the retry from the previous
+    # state is plain Newton
+    rho, u = stepper.solve(rho_old, dt, np.full(g.n, np.nan))
+    assert stepper.chord_iterations == 1
+    assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)

@@ -33,6 +33,8 @@ def test_friedrichs_dirichlet_limit():
     assert res.root_residual < 1e-12
     # sin(float pi) > 0 puts the root between float pi and pi
     assert friedrichs_k(1e100, 1e100).k == math.pi
+    # w0 w1 overflows to inf here
+    assert friedrichs_k(1e155, 1e155).k == math.pi
 
 
 def test_friedrichs_rejects_nonpositive_weights():

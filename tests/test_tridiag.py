@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from fokker_flux import IterationError
-from fokker_flux.tridiag import apply_tridiagonal, solve_refined, solve_tridiagonal
+from fokker_flux.tridiag import (
+    apply_tridiagonal,
+    invert_tridiagonal,
+    solve_refined,
+    solve_tridiagonal,
+)
 
 
 def random_dominant_system(rng, n):
@@ -82,3 +87,31 @@ def test_zero_pivot_raises():
     lower[0] = upper[0] = 1.0
     with pytest.raises(IterationError, match="row 1"):
         solve_tridiagonal(lower, singular, upper, rhs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 200])
+def test_inverse_matches_dense_inverse_and_solve(n):
+    rng = np.random.default_rng(300 + n)
+    lower, diag, upper, rhs = random_dominant_system(rng, n)
+    inverse = invert_tridiagonal(lower, diag, upper)
+    expected = np.linalg.inv(dense(lower, diag, upper))
+    assert np.max(np.abs(inverse - expected)) <= 1e-12 * np.max(np.abs(expected))
+    x = solve_tridiagonal(lower, diag, upper, rhs)
+    assert np.max(np.abs(inverse @ rhs - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_inverse_zero_pivot_raises_as_the_solve():
+    lower, diag, upper, rhs = random_dominant_system(np.random.default_rng(5), 5)
+    first = diag.copy()
+    first[0] = 0.0
+    # leading 2x2 block [[1, 1], [1, 1]]: the second pivot vanishes
+    second = diag.copy()
+    second[:2] = 1.0
+    second_lower, second_upper = lower.copy(), upper.copy()
+    second_lower[0] = second_upper[0] = 1.0
+    for system, row in (((lower, first, upper), 0), ((second_lower, second, second_upper), 1)):
+        with pytest.raises(IterationError) as solve_error:
+            solve_tridiagonal(*system, rhs)
+        with pytest.raises(IterationError, match=f"at row {row}$") as inverse_error:
+            invert_tridiagonal(*system)
+        assert str(inverse_error.value) == str(solve_error.value)
