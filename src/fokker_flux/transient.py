@@ -152,9 +152,10 @@ CHORD_MAX_N = 400
 # A chord trial is kept when it meets the tolerance or cuts the residual
 # sup-norm to this fraction or less; otherwise damped Newton takes over and
 # refreshes the inverse. Over the 3700 steps of an entropy-C run at n = 200,
-# dt 1e-3 (affine data 0.5 + 0.05 x), 0.01 / 0.02 / 0.03 / 0.1 took
-# 27 / 14 / 10 / 3 refreshes (1.3 ms each) and 1.62 / 1.66 / 1.83 / 2.43
-# chord iterations (about 45 us each) per step: 0.02 costs the least.
+# dt 1e-3 (affine data 0.5 + 0.05 x), 0.01 / 0.02 / 0.03 / 0.05 took
+# 15 / 9 / 6 / 4 refreshes (1.3 ms each) and 0.98 / 1.01 / 1.02 / 1.05
+# chord iterations (about 27 us each) per step; the run times (medians of 11
+# interleaved runs, 0.32-0.34 s) differed by less than their spread.
 CHORD_CONTRACTION = 0.02
 
 
@@ -357,33 +358,56 @@ class _ImplicitStepper:
         self.dx = d.grid.dx
         self.newton = newton
         self.v, self.emv, self.vol = d.v, d.exp_neg_v, d.volumes
+        # the reaction alpha - rho decay, decay as in _ExplicitStepper, times vol
+        self.vol_alpha = self.vol * d.model.alpha
+        self.vol_decay = self.vol * (d.model.alpha + d.model.beta * d.exp_neg_v)
+        n = d.grid.n
+        # work arrays; what _residual returns is fresh, so a discarded trial
+        # never overwrites the kept iterate
+        self.z, self.ez, self.react, self.scaled = (np.empty(n) for _ in range(4))
+        self.flux = np.empty(n - 1)
         self.solves = 0
-        self.chord = d.grid.n <= CHORD_MAX_N
+        self.chord = n <= CHORD_MAX_N
         self.inverse = self.inverse_dt = None
         self.chord_iterations = 0
 
     @staticmethod
-    def _logistic(z: FloatArray) -> FloatArray:
-        ez = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    def _logistic(z: FloatArray, work: FloatArray | None = None) -> FloatArray:
+        """``1/(1 + e^{-z})`` without overflow, as a new array; ``work``, an
+        array of z's shape other than z, takes the intermediate ``e^{-|z|}``."""
+        ez = np.abs(z, out=work)
+        np.negative(ez, out=ez)
+        np.exp(ez, out=ez)
+        rho = np.where(z >= 0, 1.0, ez)
+        rho /= np.add(ez, 1.0, out=ez)
+        return rho
 
     def entropy_variable(self, rho: FloatArray) -> FloatArray:
         return np.log(rho / (1.0 - rho)) - self.v
 
     def _residual(self, u: FloatArray, rho_old: FloatArray, dt: float):
-        """Cell balances ``G(u)``, plus the density and face terms :meth:`_jacobian` reuses."""
-        model, vol = self.model, self.vol
-        rho = self._logistic(u + self.v)
-        mean = 0.5 * (rho[:-1] + rho[1:])
-        mob = mean * (1.0 - mean)
+        """Cell balances ``G(u)``, plus the density and face terms :meth:`_jacobian` reuses.
+
+        ``vol (rho - rho_old)/dt + div(flux) - vol (alpha - rho decay)``, with
+        ``decay = alpha + beta e^{-V}``. ``G`` and the terms are new arrays;
+        the work arrays hold only intermediates.
+        """
+        rho = self._logistic(np.add(u, self.v, out=self.z), self.ez)
+        mean = rho[:-1] + rho[1:]
+        mean *= 0.5
+        mob = np.subtract(1.0, mean)
+        mob *= mean
         du = u[1:] - u[:-1]
-        flux = -mob * du / self.dx
-        div = np.empty_like(rho)
-        div[0] = flux[0]
-        div[1:-1] = flux[1:] - flux[:-1]
-        div[-1] = -flux[-1]
-        react = model.alpha * (1.0 - rho) - model.beta * rho * self.emv
-        G = vol * (rho - rho_old) / dt + div - vol * react
+        flux = np.multiply(mob, du, out=self.flux)
+        flux *= -1.0 / self.dx
+        G = rho - rho_old
+        G *= self.vol
+        G /= dt
+        react = np.multiply(rho, self.vol_decay, out=self.react)
+        react -= self.vol_alpha
+        G += react
+        G[:-1] += flux
+        G[1:] -= flux
         return G, (rho, mean, mob, du)
 
     def _jacobian(self, rho, mean, mob, du, dt: float):
@@ -408,7 +432,8 @@ class _ImplicitStepper:
         return lower, diag, upper
 
     def _norm(self, G: FloatArray) -> float:
-        return float(np.max(np.abs(G / self.vol)))
+        scaled = np.divide(G, self.vol, out=self.scaled)
+        return float(np.abs(scaled, out=scaled).max())
 
     def _newton(self, u: FloatArray, rho_old: FloatArray, dt: float, chord: bool = False):
         """Damped Newton from ``u``: the new density and the accepted iterate.
@@ -495,11 +520,15 @@ class _ImplicitStepper:
 
 def _extrapolate(history: list) -> FloatArray:
     """Newton's start for the next implicit step from the accepted entropy
-    variables of the last two or three steps (oldest first): the linear
-    ``2u^k - u^{k-1}`` or the quadratic ``3u^k - 3u^{k-1} + u^{k-2}``."""
+    variables of the last two, three or four steps (oldest first): the
+    polynomial through them in time, evaluated one step on. That is the
+    linear ``2u^k - u^{k-1}``, the quadratic ``3u^k - 3u^{k-1} + u^{k-2}``
+    or, from four, the cubic ``4u^k - 6u^{k-1} + 4u^{k-2} - u^{k-3}``."""
     if len(history) == 2:
         return 2.0 * history[1] - history[0]
-    return 3.0 * (history[2] - history[1]) + history[0]
+    if len(history) == 3:
+        return 3.0 * (history[2] - history[1]) + history[0]
+    return 4.0 * (history[3] + history[1]) - 6.0 * history[2] - history[0]
 
 
 def step_implicit_entropy(
@@ -551,10 +580,10 @@ def run_transient(
     step off the stride is advanced from the sample before it
     (:meth:`_ExplicitStepper.jump_matrices`). Model C steps, copying each
     sample into a block; on the implicit scheme each Newton solve starts
-    from the extrapolation of the last accepted entropy variables
-    (:func:`_extrapolate`), and up to ``n = CHORD_MAX_N`` takes chord
-    iterations with a held Jacobian inverse before any Newton iteration
-    (:meth:`_ImplicitStepper._newton`), on one BLAS thread.
+    from the extrapolation of the last accepted entropy variables, cubic
+    from step 4 on (:func:`_extrapolate`), and up to ``n = CHORD_MAX_N``
+    takes chord iterations with a held Jacobian inverse before any Newton
+    iteration (:meth:`_ImplicitStepper._newton`), on one BLAS thread.
     """
     grid = initial.grid
     initial.validate_for_model(model, strict_box=config.scheme == "implicit-entropy")
@@ -683,7 +712,7 @@ def run_transient(
                             time=k * dt,
                         ) from err
                     newton_max = max(newton_max, implicit.solves - solves)
-                    history = [*history[-2:], u]
+                    history = [*history[-3:], u]
                 lo, hi = float(rho.min()), float(rho.max())
                 if not (math.isfinite(lo) and math.isfinite(hi)):
                     observe(block[:pending])  # an observer error of an earlier sample comes first

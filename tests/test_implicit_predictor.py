@@ -105,6 +105,47 @@ def test_newton_counts(monkeypatch):
     assert explicit.newton_iterations == explicit.newton_max_per_step == 0
 
 
+def test_extrapolate_is_exact_for_polynomials_in_time():
+    rng = np.random.default_rng(9)
+    coefficients = rng.normal(0.0, 1.0, (4, 50))  # u(t) = sum_j c_j t^j at 50 nodes
+    dt = 1e-3
+
+    def u(k, degree):
+        t = k * dt
+        return sum(coefficients[j] * t**j for j in range(degree + 1))
+
+    for k in (3, 100, 3700):
+        for entries in (2, 3, 4):
+            history = [u(k - entries + 1 + i, entries - 1) for i in range(entries)]
+            want = u(k + 1, entries - 1)
+            assert np.max(np.abs(transient._extrapolate(history) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_two_and_three_entry_starts_are_the_linear_and_quadratic_ones():
+    h = list(np.random.default_rng(10).normal(0.0, 1.0, (3, 40)))
+    assert np.array_equal(transient._extrapolate(h[:2]), 2.0 * h[1] - h[0])
+    assert np.array_equal(transient._extrapolate(h), 3.0 * (h[2] - h[1]) + h[0])
+
+
+def test_cubic_start_counts_on_the_benchmark_configuration(monkeypatch):
+    residuals = []
+    original = _ImplicitStepper._residual
+
+    def counted(self, *args):
+        residuals.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(_ImplicitStepper, "_residual", counted)
+    config = preset_config("entropy-C", {
+        "scheme": "implicit-entropy", "dt": 1e-3, "n": 200, "t_end": 3.7, "observe_every": 1,
+        "initial": {"kind": "affine", "a": 0.05, "b": 0.5},
+    })
+    _, traj = execute(config)
+    assert traj.chord_iterations / traj.steps <= 1.2
+    assert traj.newton_iterations / traj.steps <= 1.1
+    assert len(residuals) / traj.steps <= 2.1
+
+
 def test_failed_extrapolated_start_is_retried_from_previous_state(monkeypatch):
     g = build_grid(60)
     rho_old = np.random.default_rng(4).uniform(0.02, 0.98, g.n)

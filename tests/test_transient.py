@@ -302,6 +302,50 @@ def test_implicit_step_equals_reference_newton(dt, newton, monkeypatch):
     assert calls["_residual"] == reference_calls["_residual"] - saved
 
 
+def cell_balance(g, rho_old, u, dt, model):
+    """The implicit scheme's cell balances at ``u``, term by term, and the
+    largest magnitude among the terms summed (the scale of their roundoff)."""
+    vol = np.full(g.n, g.dx)
+    vol[[0, -1]] = 0.5 * g.dx
+    rho = 1.0 / (1.0 + np.exp(-(u + g.nodes)))
+    mean = 0.5 * (rho[:-1] + rho[1:])
+    flux = -mean * (1.0 - mean) * (u[1:] - u[:-1]) / g.dx
+    div = np.append(flux, 0.0) - np.insert(flux, 0, 0.0)
+    react = model.alpha * (1.0 - rho) - model.beta * rho * np.exp(-g.nodes)
+    terms = (vol * rho / dt, vol * rho_old / dt, flux, vol * react)
+    return vol * (rho - rho_old) / dt + div - vol * react, max(np.max(np.abs(t)) for t in terms)
+
+
+@pytest.mark.parametrize("n", [3, 60, 200])
+@pytest.mark.parametrize("dt", [1e-3, 5.0])
+def test_implicit_residual_is_the_cell_balance(n, dt):
+    g = build_grid(n)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), NewtonConfig())
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        rho_old = rng.uniform(0.02, 0.98, n)
+        u = rng.normal(0.0, 2.0, n)
+        G, (rho, *_) = stepper._residual(u, rho_old, dt)
+        want, scale = cell_balance(g, rho_old, u, dt, MODEL_C)
+        assert np.max(np.abs(G - want)) <= 1e-13 * scale
+        assert np.array_equal(rho, _ImplicitStepper._logistic(u + g.nodes))
+
+
+def test_implicit_residual_returns_arrays_no_later_call_overwrites():
+    g = build_grid(60)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), NewtonConfig())
+    rng = np.random.default_rng(3)
+    rho_old = rng.uniform(0.02, 0.98, g.n)
+    G, terms = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, 1e-2)
+    kept = [a.copy() for a in (G, *terms)]
+    again = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, 1e-2)
+    stepper._norm(again[0])
+    for first, copy in zip((G, *terms), kept):
+        assert np.array_equal(first, copy)
+        for later in (again[0], *again[1]):
+            assert not np.shares_memory(first, later)
+
+
 # ------------------------------------------------------------ run_transient
 
 def test_run_zero_time_returns_initial_only():
