@@ -51,11 +51,13 @@ def _reject(row: FloatArray) -> None:
 
 
 def _xlogx_ratio(a: FloatArray, b: FloatArray) -> FloatArray:
-    """a * log(a / b) with the continuous extension 0 log 0 = 0."""
-    a, b = np.broadcast_arrays(a, b)
-    out = np.zeros_like(a)
+    """a * log(a / b) with the continuous extension 0 log 0 = 0: an entry of
+    ``a`` that is not positive (0 or NaN) gives exactly 0."""
     pos = a > 0.0
-    out[pos] = a[pos] * np.log(a[pos] / b[pos])
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    np.divide(a, b, out=out, where=pos)
+    np.log(out, out=out, where=pos)
+    np.multiply(a, out, out=out, where=pos)
     return out
 
 

@@ -369,18 +369,16 @@ def _write_snapshots_csv(path: Path, trajectory: Trajectory) -> None:
 def _write_svgs(out: Path, trajectory: Trajectory) -> None:
     grid = trajectory.final.grid
     series = [
-        (f"t={t_req:g}", grid.nodes.tolist(), snap.values.tolist())
+        (f"t={t_req:g}", grid.nodes, snap.values)
         for t_req, snap in trajectory.snapshots
     ]
     if not series:
-        series = [("final", grid.nodes.tolist(), trajectory.final.values.tolist())]
-    series.append(
-        ("stationary", grid.nodes.tolist(), trajectory.reference.field.values.tolist())
-    )
+        series = [("final", grid.nodes, trajectory.final.values)]
+    series.append(("stationary", grid.nodes, trajectory.reference.field.values))
     (out / "density.svg").write_text(
         line_chart(series, "density snapshots", "x", "rho"), encoding="utf-8"
     )
-    ent_series = [("entropy", trajectory.times.tolist(), trajectory.entropy.tolist())]
+    ent_series = [("entropy", trajectory.times, trajectory.entropy)]
     (out / "entropy.svg").write_text(
         line_chart(ent_series, "relative entropy decay", "t", "log10 entropy", log_y=True),
         encoding="utf-8",
@@ -582,7 +580,7 @@ def mass_evolution(
         if "svg" in config.emit:
             (out / "mass.svg").write_text(
                 line_chart(
-                    [("node-average mass", trajectory.times.tolist(), trajectory.node_mass.tolist())],
+                    [("node-average mass", trajectory.times, trajectory.node_mass)],
                     "mass evolution", "t", "mass",
                 ),
                 encoding="utf-8",

@@ -18,6 +18,7 @@ telescopes.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
@@ -343,6 +344,13 @@ class _ImplicitStepper:
     the nonlinear system is solved by damped Newton on the cell balances;
     ``solves`` counts the Newton iterations (one Thomas solve each).
 
+    The terms of the balances that depend only on ``(rho_old, dt)`` are
+    formed once per Newton solve (:meth:`_balance`): one evaluation of
+    ``G`` (:meth:`_residual`) takes 18 numpy calls and its norm 3, and a
+    run's step with one chord iteration 55, its cubic start and the run's
+    running extrema included (61 when each evaluation formed those terms
+    itself; README, cost model of an implicit step).
+
     Up to ``n = CHORD_MAX_N`` the stepper also holds ``inverse``, the dense
     inverse of a recent Newton Jacobian, formed for the step size
     ``inverse_dt``. A solve from an extrapolated guess first takes chord
@@ -354,18 +362,17 @@ class _ImplicitStepper:
     def __init__(self, d: Discretization, newton: NewtonConfig):
         if d.model.model != "C":
             raise InvalidModelError("the entropy-variable scheme applies to model C")
-        self.model = d.model
         self.dx = d.grid.dx
         self.newton = newton
-        self.v, self.emv, self.vol = d.v, d.exp_neg_v, d.volumes
+        self.v, self.vol = d.v, d.volumes
         # the reaction alpha - rho decay, decay as in _ExplicitStepper, times vol
         self.vol_alpha = self.vol * d.model.alpha
         self.vol_decay = self.vol * (d.model.alpha + d.model.beta * d.exp_neg_v)
         n = d.grid.n
         # work arrays; what _residual returns is fresh, so a discarded trial
         # never overwrites the kept iterate
-        self.z, self.ez, self.react, self.scaled = (np.empty(n) for _ in range(4))
-        self.flux = np.empty(n - 1)
+        self.z, self.ez, self.scaled = (np.empty(n) for _ in range(3))
+        self.s, self.du, self.flux = (np.empty(n - 1) for _ in range(3))
         self.solves = 0
         self.chord = n <= CHORD_MAX_N
         self.inverse = self.inverse_dt = None
@@ -373,53 +380,66 @@ class _ImplicitStepper:
 
     @staticmethod
     def _logistic(z: FloatArray, work: FloatArray | None = None) -> FloatArray:
-        """``1/(1 + e^{-z})`` without overflow, as a new array; ``work``, an
-        array of z's shape other than z, takes the intermediate ``e^{-|z|}``."""
-        ez = np.abs(z, out=work)
-        np.negative(ez, out=ez)
+        """``1/(1 + e^{-z})`` without overflow, as a new array: ``e^{min(z, 0)}
+        / (1 + e^{-|z|})``. ``work``, an array of z's shape other than z,
+        takes the intermediate ``e^{-|z|}``."""
+        rho = np.minimum(z, 0.0)
+        np.exp(rho, out=rho)
+        ez = np.copysign(z, -1.0, out=work)
         np.exp(ez, out=ez)
-        rho = np.where(z >= 0, 1.0, ez)
-        rho /= np.add(ez, 1.0, out=ez)
+        ez += 1.0
+        rho /= ez
         return rho
 
     def entropy_variable(self, rho: FloatArray) -> FloatArray:
         return np.log(rho / (1.0 - rho)) - self.v
 
-    def _residual(self, u: FloatArray, rho_old: FloatArray, dt: float):
-        """Cell balances ``G(u)``, plus the density and face terms :meth:`_jacobian` reuses.
+    def _balance(self, rho_old: FloatArray, dt: float):
+        """The terms of the cell balances that depend only on ``(rho_old, dt)``:
+        ``coef = vol/dt + vol decay`` and ``base = vol alpha - vol decay rho_old``,
+        with ``decay = alpha + beta e^{-V}``."""
+        base = np.multiply(rho_old, self.vol_decay)
+        np.subtract(self.vol_alpha, base, out=base)
+        coef = self.vol / dt
+        coef += self.vol_decay
+        return coef, base
 
-        ``vol (rho - rho_old)/dt + div(flux) - vol (alpha - rho decay)``, with
-        ``decay = alpha + beta e^{-V}``. ``G`` and the terms are new arrays;
-        the work arrays hold only intermediates.
+    def _residual(self, u: FloatArray, rho_old: FloatArray, coef: FloatArray, base: FloatArray):
+        """Cell balances ``G(u)`` and the density, both new arrays; ``coef`` and
+        ``base`` from :meth:`_balance`.
+
+        ``G = (rho - rho_old) coef - base + div(flux)``, which is
+        ``vol (rho - rho_old)/dt + div(flux) - vol (alpha - rho decay)``; the
+        time term keeps the difference ``rho - rho_old``, exact while the two
+        are within a factor 2, so that its roundoff does not grow like 1/dt.
+        With ``s = rho_i + rho_{i+1}`` the face flux ``-mean (1 - mean) du/dx``
+        is ``s (2 - s) du (-1/(4 dx))``.
         """
         rho = self._logistic(np.add(u, self.v, out=self.z), self.ez)
-        mean = rho[:-1] + rho[1:]
-        mean *= 0.5
-        mob = np.subtract(1.0, mean)
-        mob *= mean
-        du = u[1:] - u[:-1]
-        flux = np.multiply(mob, du, out=self.flux)
-        flux *= -1.0 / self.dx
-        G = rho - rho_old
-        G *= self.vol
-        G /= dt
-        react = np.multiply(rho, self.vol_decay, out=self.react)
-        react -= self.vol_alpha
-        G += react
+        s = np.add(rho[:-1], rho[1:], out=self.s)
+        flux = np.subtract(2.0, s, out=self.flux)
+        flux *= s
+        flux *= np.subtract(u[1:], u[:-1], out=self.du)
+        flux *= -0.25 / self.dx
+        G = np.subtract(rho, rho_old)
+        G *= coef
+        G -= base
         G[:-1] += flux
         G[1:] -= flux
-        return G, (rho, mean, mob, du)
+        return G, rho
 
-    def _jacobian(self, rho, mean, mob, du, dt: float):
-        """Tridiagonal Jacobian ``(lower, diag, upper)`` of ``G`` in u, from the
-        terms :meth:`_residual` returns beside ``G``."""
-        model, vol, dx = self.model, self.vol, self.dx
+    def _jacobian(self, u: FloatArray, rho: FloatArray, coef: FloatArray):
+        """Tridiagonal Jacobian ``(lower, diag, upper)`` of ``G`` in u at ``u``,
+        ``rho`` its density and ``coef`` from :meth:`_balance`."""
+        dx = self.dx
         sig = rho * (1.0 - rho)
+        mean = 0.5 * (rho[:-1] + rho[1:])
+        mob = mean * (1.0 - mean)
         dmob = 1.0 - 2.0 * mean
+        du = u[1:] - u[:-1]
         dflux_left = (-dmob * 0.5 * sig[:-1] * du + mob) / dx
         dflux_right = (-dmob * 0.5 * sig[1:] * du - mob) / dx
-        dreact = (-model.alpha - model.beta * self.emv) * sig
-        diag = vol * sig / dt - vol * dreact
+        diag = sig * coef  # d/du of rho coef: the time and reaction terms
         lower = np.empty_like(du)
         upper = np.empty_like(du)
         diag[0] += dflux_left[0]
@@ -433,7 +453,7 @@ class _ImplicitStepper:
 
     def _norm(self, G: FloatArray) -> float:
         scaled = np.divide(G, self.vol, out=self.scaled)
-        return float(np.abs(scaled, out=scaled).max())
+        return float(np.maximum.reduce(np.abs(scaled, out=scaled)))
 
     def _newton(self, u: FloatArray, rho_old: FloatArray, dt: float, chord: bool = False):
         """Damped Newton from ``u``: the new density and the accepted iterate.
@@ -450,7 +470,8 @@ class _ImplicitStepper:
         ``max_iter``.
         """
         cfg = self.newton
-        G, terms = self._residual(u, rho_old, dt)
+        coef, base = self._balance(rho_old, dt)
+        G, rho = self._residual(u, rho_old, coef, base)
         norm = self._norm(G)
         iterations = 0
         if chord and self.inverse_dt == dt:
@@ -458,16 +479,16 @@ class _ImplicitStepper:
                 iterations += 1
                 self.chord_iterations += 1
                 trial = u - self.inverse @ G
-                trial_G, trial_terms = self._residual(trial, rho_old, dt)
+                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
                 trial_norm = self._norm(trial_G)
                 if not (trial_norm < cfg.tolerance or trial_norm <= CHORD_CONTRACTION * norm):
                     break
-                u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
+                u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
         for _ in range(cfg.max_iter - iterations):
             if norm < cfg.tolerance:
-                return terms[0], u
+                return rho, u
             self.solves += 1
-            jacobian = self._jacobian(*terms, dt)
+            jacobian = self._jacobian(u, rho, coef)
             try:
                 delta = solve_tridiagonal(*jacobian, -G)
                 if chord:
@@ -481,14 +502,14 @@ class _ImplicitStepper:
             # max_backtracks trials; without a decrease the next, smaller step is taken as is
             for _ in range(cfg.max_backtracks + 1):
                 trial = u + damping * delta
-                trial_G, trial_terms = self._residual(trial, rho_old, dt)
+                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
                 trial_norm = self._norm(trial_G)
                 if trial_norm < norm:
                     break
                 damping *= 0.5
-            u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
+            u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
         if norm < cfg.tolerance:
-            return terms[0], u
+            return rho, u
         raise StepFailureError(
             f"Newton did not reach {cfg.tolerance} within {cfg.max_iter} iterations "
             f"(residual {norm:.3e})",
@@ -504,7 +525,9 @@ class _ImplicitStepper:
         start of a step without a guess. ``solves`` counts the iterations
         of both attempts. Only the attempt from ``guess`` takes chord
         iterations and forms the inverse (while ``n <= CHORD_MAX_N``); the
-        retry and a solve without a guess are plain damped Newton.
+        retry and a solve without a guess are plain damped Newton. The
+        entropy variable returned is ``guess`` itself when ``guess`` meets
+        the tolerance.
         """
         if guess is not None:
             try:
@@ -518,17 +541,24 @@ class _ImplicitStepper:
         return self.solve(rho_old, dt)[0]
 
 
-def _extrapolate(history: list) -> FloatArray:
+def _extrapolate(history, out: FloatArray | None = None) -> FloatArray:
     """Newton's start for the next implicit step from the accepted entropy
     variables of the last two, three or four steps (oldest first): the
     polynomial through them in time, evaluated one step on. That is the
     linear ``2u^k - u^{k-1}``, the quadratic ``3u^k - 3u^{k-1} + u^{k-2}``
-    or, from four, the cubic ``4u^k - 6u^{k-1} + 4u^{k-2} - u^{k-3}``."""
+    or, from four, the cubic ``4u^k - 6u^{k-1} + 4u^{k-2} - u^{k-3}``; the
+    cubic is written into ``out`` (two arrays of u's shape) when given,
+    the first holding the start."""
     if len(history) == 2:
         return 2.0 * history[1] - history[0]
     if len(history) == 3:
         return 3.0 * (history[2] - history[1]) + history[0]
-    return 4.0 * (history[3] + history[1]) - 6.0 * history[2] - history[0]
+    start, work = out if out is not None else (None, None)
+    start = np.add(history[3], history[1], out=start)
+    start *= 4.0
+    start -= np.multiply(history[2], 6.0, out=work)
+    start -= history[0]
+    return start
 
 
 def step_implicit_entropy(
@@ -583,7 +613,9 @@ def run_transient(
     from the extrapolation of the last accepted entropy variables, cubic
     from step 4 on (:func:`_extrapolate`), and up to ``n = CHORD_MAX_N``
     takes chord iterations with a held Jacobian inverse before any Newton
-    iteration (:meth:`_ImplicitStepper._newton`), on one BLAS thread.
+    iteration (:meth:`_ImplicitStepper._newton`), on one BLAS thread. The
+    implicit scheme keeps the elementwise extrema of its states and reduces
+    them once per block; the explicit one checks each state's min and max.
     """
     grid = initial.grid
     initial.validate_for_model(model, strict_box=config.scheme == "implicit-entropy")
@@ -697,14 +729,35 @@ def run_transient(
         with serial_blas():
             block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
             pending = 0  # samples waiting in the block
-            history = [] if implicit is None else [implicit.entropy_variable(rho)]  # u^0, u^1, ..
+            if implicit is not None:
+                history = deque([implicit.entropy_variable(rho)], maxlen=4)  # u^0, u^1, ..
+                start = np.empty((2, grid.n))  # the cubic start and its work array
+                # elementwise extrema of the steps so far, reduced once per block
+                low, high = rho.copy(), rho.copy()
+
+                def fold_extrema(k: int) -> None:
+                    """Reduce the running extrema at step ``k``. An accepted Newton
+                    state is finite, so a non-finite extremum is only a guard."""
+                    nonlocal min_value, max_value
+                    min_value = float(np.minimum.reduce(low))
+                    max_value = float(np.maximum.reduce(high))
+                    if not (math.isfinite(min_value) and math.isfinite(max_value)):
+                        raise diverged(k)
+
             for k in range(steps + 1):
-                if k and implicit is None:
-                    explicit.step(rho, dt)
+                if implicit is None:
+                    if k:
+                        explicit.step(rho, dt)
+                    lo, hi = float(rho.min()), float(rho.max())
+                    if not (math.isfinite(lo) and math.isfinite(hi)):
+                        observe(block[:pending])  # an observer error of an earlier sample comes first
+                        raise diverged(k)
+                    min_value, max_value = min(min_value, lo), max(max_value, hi)
                 elif k:
                     solves = implicit.solves
+                    guess = _extrapolate(history, start) if k > 1 else None
                     try:
-                        rho, u = implicit.solve(rho, dt, _extrapolate(history) if k > 1 else None)
+                        rho, u = implicit.solve(rho, dt, guess)
                     except StepFailureError as err:
                         raise StepFailureError(
                             f"implicit step failed at t={k * dt:.6g}: {err}",
@@ -712,12 +765,9 @@ def run_transient(
                             time=k * dt,
                         ) from err
                     newton_max = max(newton_max, implicit.solves - solves)
-                    history = [*history[-3:], u]
-                lo, hi = float(rho.min()), float(rho.max())
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    observe(block[:pending])  # an observer error of an earlier sample comes first
-                    raise diverged(k)
-                min_value, max_value = min(min_value, lo), max(max_value, hi)
+                    history.append(u.copy() if u is guess else u)  # start is rewritten
+                    np.minimum(low, rho, out=low)
+                    np.maximum(high, rho, out=high)
                 if k in snap_lookup:
                     snapshots.append((snap_lookup[k], DensityField(rho.copy(), grid)))
                 if k % stride == 0 or k == steps:
@@ -725,8 +775,12 @@ def run_transient(
                     block[pending] = rho
                     pending += 1
                     if pending == len(block):
+                        if implicit is not None:
+                            fold_extrema(k)
                         observe(block)
                         pending = 0
+            if implicit is not None:
+                fold_extrema(steps)
             observe(block[:pending])
 
     for series in (times, ent, mass_tz, mass_na, l1s, resid, outflow):

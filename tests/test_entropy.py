@@ -25,6 +25,7 @@ from fokker_flux import (
     stationary_closed,
     trapezoid,
 )
+from fokker_flux.entropy import _xlogx_ratio
 
 GRID = build_grid(101)
 
@@ -83,6 +84,28 @@ def test_entropy_handles_exact_zeros():
     rho = DensityField(vals, GRID)
     assert math.isfinite(entropy("logarithmic", rho, const(0.5)))
     assert math.isfinite(entropy("two-species", rho, const(0.5)))
+
+
+def masked_xlogx_ratio(a, b):
+    """``a log(a/b)`` as taken with boolean indexing before ``where=``."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros_like(a)
+    pos = a > 0.0
+    out[pos] = a[pos] * np.log(a[pos] / b[pos])
+    return out
+
+
+def test_xlogx_ratio_equals_the_masked_form():
+    rng = np.random.default_rng(12)
+    b = rng.uniform(0.05, 0.95, 200)
+    for shape in [(200,), (1, 200), (7, 200), (64, 200)]:
+        for zeros in (0.0, 0.1, 0.9):
+            a = rng.uniform(0.0, 1.0, shape) ** rng.uniform(1.0, 40.0, shape)  # down to ~1e-40
+            a[rng.random(shape) < zeros] = 0.0
+            a.reshape(-1)[:4] = (np.nan, -0.0, -1e-13, 5e-324)
+            got = _xlogx_ratio(a, b)
+            assert np.array_equal(got, masked_xlogx_ratio(a, b))
+            assert np.all(got[~(a > 0.0)] == 0.0)  # 0, -0, negatives and NaN
 
 
 def test_entropy_tolerates_roundoff_negatives_only():

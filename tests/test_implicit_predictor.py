@@ -30,23 +30,24 @@ MODEL_C = ModelSpec("C", 1.0, 0.9, PotentialSpec("linear"))
 def constant_start_step(stepper, rho_old, dt):
     cfg = stepper.newton
     u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
-    G, terms = stepper._residual(u, rho_old, dt)
+    coef, base = stepper._balance(rho_old, dt)
+    G, rho = stepper._residual(u, rho_old, coef, base)
     norm = stepper._norm(G)
     for _ in range(cfg.max_iter):
         if norm < cfg.tolerance:
-            return terms[0]
-        delta = transient.solve_tridiagonal(*stepper._jacobian(*terms, dt), -G)
+            return rho
+        delta = transient.solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
         damping = 1.0
         for _ in range(cfg.max_backtracks + 1):
             trial = u + damping * delta
-            trial_G, trial_terms = stepper._residual(trial, rho_old, dt)
+            trial_G, trial_rho = stepper._residual(trial, rho_old, coef, base)
             trial_norm = stepper._norm(trial_G)
             if trial_norm < norm:
                 break
             damping *= 0.5
-        u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
+        u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
     assert norm < cfg.tolerance
-    return terms[0]
+    return rho
 
 
 def implicit_config(dt, n, t_end):
@@ -127,6 +128,38 @@ def test_two_and_three_entry_starts_are_the_linear_and_quadratic_ones():
     assert np.array_equal(transient._extrapolate(h), 3.0 * (h[2] - h[1]) + h[0])
 
 
+def test_cubic_start_in_held_buffers_is_the_allocated_one():
+    h = list(np.random.default_rng(11).normal(0.0, 1.0, (4, 40)))
+    out = np.empty((2, 40))
+    start = transient._extrapolate(h, out)
+    assert np.shares_memory(start, out)
+    assert np.array_equal(start, transient._extrapolate(h))
+    assert np.array_equal(start, 4.0 * (h[3] + h[1]) - 6.0 * h[2] - h[0])
+
+
+def test_run_with_starts_in_held_buffers_is_the_run_with_fresh_ones(monkeypatch):
+    # at dt 2e-2 the cubic start meets the tolerance outright at some steps
+    # late in the run: the accepted iterate is then the held start itself
+    config = implicit_config(2e-2, 100, 12.0)
+    accepted_starts = []
+    solve = _ImplicitStepper.solve
+
+    def recorded(self, rho_old, dt, guess=None):
+        rho, u = solve(self, rho_old, dt, guess)
+        accepted_starts.append(guess is not None and u is guess)
+        return rho, u
+
+    monkeypatch.setattr(_ImplicitStepper, "solve", recorded)
+    _, traj = execute(config)
+    assert sum(accepted_starts) > 0
+    extrapolate = transient._extrapolate
+    monkeypatch.setattr(transient, "_extrapolate", lambda h, out=None: extrapolate(list(h)))
+    _, ref = execute(config)
+    assert np.array_equal(traj.final.values, ref.final.values)
+    assert np.array_equal(traj.entropy, ref.entropy)
+    assert traj.chord_iterations == ref.chord_iterations
+
+
 def test_cubic_start_counts_on_the_benchmark_configuration(monkeypatch):
     residuals = []
     original = _ImplicitStepper._residual
@@ -173,7 +206,7 @@ def test_run_with_failing_predictor_is_the_constant_start_run(monkeypatch):
     # step is retried from the previous state: the run made without a guess
     config = implicit_config(1e-2, 40, 0.1)
     ref_summary, ref = run_constant_start(config, monkeypatch)
-    monkeypatch.setattr(transient, "_extrapolate", lambda h: np.full_like(h[-1], np.nan))
+    monkeypatch.setattr(transient, "_extrapolate", lambda h, out=None: np.full_like(h[-1], np.nan))
     _, traj = execute(config)
     assert np.array_equal(traj.final.values, ref.final.values)
     assert np.array_equal(traj.entropy, ref.entropy)
@@ -225,23 +258,24 @@ def plain_newton(stepper, u, rho_old, dt):
     and the accepted iterate, as the implicit step made them before it held
     a Jacobian inverse."""
     cfg = stepper.newton
-    G, terms = stepper._residual(u, rho_old, dt)
+    coef, base = stepper._balance(rho_old, dt)
+    G, rho = stepper._residual(u, rho_old, coef, base)
     norm = stepper._norm(G)
     for _ in range(cfg.max_iter):
         if norm < cfg.tolerance:
-            return terms[0], u
-        delta = transient.solve_tridiagonal(*stepper._jacobian(*terms, dt), -G)
+            return rho, u
+        delta = transient.solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
         damping = 1.0
         for _ in range(cfg.max_backtracks + 1):
             trial = u + damping * delta
-            trial_G, trial_terms = stepper._residual(trial, rho_old, dt)
+            trial_G, trial_rho = stepper._residual(trial, rho_old, coef, base)
             trial_norm = stepper._norm(trial_G)
             if trial_norm < norm:
                 break
             damping *= 0.5
-        u, G, terms, norm = trial, trial_G, trial_terms, trial_norm
+        u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
     if norm < cfg.tolerance:
-        return terms[0], u
+        return rho, u
     raise StepFailureError(f"no convergence (residual {norm:.3e})", residual=norm)
 
 
@@ -285,13 +319,14 @@ def test_bad_held_inverse_falls_back_to_newton():
     rho_old = np.random.default_rng(6).uniform(0.02, 0.98, g.n)
     stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
     guess = stepper.entropy_variable(rho_old) + 0.05
-    G, terms = stepper._residual(guess, rho_old, dt)
-    inverse = transient.invert_tridiagonal(*stepper._jacobian(*terms, dt))
+    coef, base = stepper._balance(rho_old, dt)
+    G, rho = stepper._residual(guess, rho_old, coef, base)
+    inverse = transient.invert_tridiagonal(*stepper._jacobian(guess, rho, coef))
     stepper.inverse, stepper.inverse_dt = 2.0 * inverse, dt  # the chord step overshoots 2x
     rho, u = stepper.solve(rho_old, dt, guess)
     assert stepper.chord_iterations == 1  # the one trial, discarded
     assert stepper.solves >= 1
-    assert stepper._norm(stepper._residual(u, rho_old, dt)[0]) < stepper.newton.tolerance
+    assert stepper._norm(stepper._residual(u, rho_old, coef, base)[0]) < stepper.newton.tolerance
     # Newton continued from the guess, and its first Jacobian is the one at the guess
     want_rho, want_u = plain_newton(stepper, guess, rho_old, dt)
     assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
@@ -320,8 +355,9 @@ def test_retry_and_step_without_guess_take_no_chord_iterations():
     stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
     start = stepper.entropy_variable(rho_old)
     want_rho, want_u = plain_newton(stepper, start, rho_old, dt)
-    G, terms = stepper._residual(start, rho_old, dt)
-    stepper.inverse = transient.invert_tridiagonal(*stepper._jacobian(*terms, dt))
+    coef, base = stepper._balance(rho_old, dt)
+    G, rho = stepper._residual(start, rho_old, coef, base)
+    stepper.inverse = transient.invert_tridiagonal(*stepper._jacobian(start, rho, coef))
     stepper.inverse_dt = dt
     assert np.array_equal(stepper.step(rho_old, dt), want_rho)
     assert stepper.chord_iterations == 0

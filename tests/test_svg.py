@@ -133,6 +133,14 @@ SERIES = {
     "lists": [("py", [0.0, 0.5, 1.0], [2.0, -1.0, 4.0])],
     "no points": [("none", [], [])],
     "no series": [],
+    "unequal lengths": [("cut", T[:30], np.exp(-T[:20])), ("ints", [0, 1, 2], [5, 10, 20])],
+    "nan first": [("nan", T[:20], np.r_[np.nan, np.exp(-T[1:20])])],
+    "nan inside": [("nan", np.r_[T[:5], np.nan, T[6:20]], np.r_[np.exp(-T[:10]), np.nan, T[11:20]])],
+    "signed zeros": [("zeros", [0.0, -0.0, 0.5], [-0.0, 0.0, -0.0]), ("z", [-0.0, 1.0], [0.0, -0.0])],
+    "infinite": [("inf", [0.0, 1.0, 2.0], [np.inf, 1.0, -np.inf])],
+    "long with non-positive values": [
+        ("mass", np.linspace(0.0, 0.16, 16001), np.cos(np.linspace(0.0, 40.0, 16001)) * 1e-3),
+    ],
 }
 
 

@@ -245,20 +245,21 @@ def reference_newton(stepper, rho_old, dt):
         return float(np.max(np.abs(G / stepper.vol)))
 
     u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
+    coef, base = stepper._balance(rho_old, dt)
     for _ in range(cfg.max_iter):
-        G, terms = stepper._residual(u, rho_old, dt)
+        G, rho = stepper._residual(u, rho_old, coef, base)
         norm = norm_of(G)
         if norm < cfg.tolerance:
             return stepper._logistic(u + stepper.v)
-        delta = solve_tridiagonal(*stepper._jacobian(*terms, dt), -G)
+        delta = solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
         damping = 1.0
         for _ in range(cfg.max_backtracks):
-            trial, _ = stepper._residual(u + damping * delta, rho_old, dt)
+            trial, _ = stepper._residual(u + damping * delta, rho_old, coef, base)
             if norm_of(trial) < norm:
                 break
             damping *= 0.5
         u = u + damping * delta
-    G, _ = stepper._residual(u, rho_old, dt)
+    G, _ = stepper._residual(u, rho_old, coef, base)
     return stepper._logistic(u + stepper.v) if norm_of(G) < cfg.tolerance else None
 
 
@@ -325,10 +326,25 @@ def test_implicit_residual_is_the_cell_balance(n, dt):
     for _ in range(10):
         rho_old = rng.uniform(0.02, 0.98, n)
         u = rng.normal(0.0, 2.0, n)
-        G, (rho, *_) = stepper._residual(u, rho_old, dt)
+        G, rho = stepper._residual(u, rho_old, *stepper._balance(rho_old, dt))
         want, scale = cell_balance(g, rho_old, u, dt, MODEL_C)
         assert np.max(np.abs(G - want)) <= 1e-13 * scale
         assert np.array_equal(rho, _ImplicitStepper._logistic(u + g.nodes))
+
+
+def test_implicit_residual_time_term_is_exactly_zero_at_the_old_density():
+    # the balance keeps the difference rho - rho_old: at rho == rho_old the
+    # time term is 0 for every dt, so its roundoff does not grow like 1/dt
+    g = build_grid(60)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), NewtonConfig())
+    u = np.random.default_rng(5).normal(0.0, 2.0, g.n)
+    rho_old = _ImplicitStepper._logistic(u + g.nodes)
+    balances = [
+        stepper._residual(u, rho_old, *stepper._balance(rho_old, dt))[0]
+        for dt in (1e-9, 1e-3, 1.0)
+    ]
+    for G in balances[1:]:
+        assert np.array_equal(G, balances[0])
 
 
 def test_implicit_residual_returns_arrays_no_later_call_overwrites():
@@ -336,14 +352,15 @@ def test_implicit_residual_returns_arrays_no_later_call_overwrites():
     stepper = _ImplicitStepper(discretize(MODEL_C, g), NewtonConfig())
     rng = np.random.default_rng(3)
     rho_old = rng.uniform(0.02, 0.98, g.n)
-    G, terms = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, 1e-2)
-    kept = [a.copy() for a in (G, *terms)]
-    again = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, 1e-2)
+    balance = stepper._balance(rho_old, 1e-2)
+    first = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, *balance)
+    kept = [a.copy() for a in first]
+    again = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, *balance)
     stepper._norm(again[0])
-    for first, copy in zip((G, *terms), kept):
-        assert np.array_equal(first, copy)
-        for later in (again[0], *again[1]):
-            assert not np.shares_memory(first, later)
+    for array, copy in zip(first, kept):
+        assert np.array_equal(array, copy)
+        for later in again:
+            assert not np.shares_memory(array, later)
 
 
 # ------------------------------------------------------------ run_transient
@@ -453,6 +470,61 @@ def test_implicit_run_failure_carries_time():
         run_transient(MODEL_C, f, cfg)
     assert excinfo.value.time == pytest.approx(5.0)
     assert excinfo.value.residual > 0.0
+
+
+# initial data whose smallest (bump) or largest (dip) value over the run is
+# reached at a step off the strides 7 and 1000: steps 40 and 1 (explicit and
+# implicit) for the bump, 38 and 1 for the dip, at n = 40
+EXTREMUM_OFF_THE_STRIDE = {
+    "bump": lambda x: 0.3 + 0.4 * np.exp(-80.0 * (x - 0.5) ** 2),
+    "dip": lambda x: 0.8 - 0.5 * np.exp(-80.0 * (x - 0.5) ** 2),
+}
+
+
+@pytest.mark.parametrize("stride", [7, 1000])
+@pytest.mark.parametrize(
+    "scheme, dt, t_end", [("explicit", 2.2e-4, 0.44), ("implicit-entropy", 1e-2, 2.0)]
+)
+@pytest.mark.parametrize("shape", list(EXTREMUM_OFF_THE_STRIDE))
+def test_model_c_extrema_range_over_unsampled_steps(shape, scheme, dt, t_end, stride):
+    g = build_grid(40)
+    f = DensityField(EXTREMUM_OFF_THE_STRIDE[shape](g.nodes), g)
+    # step by step: the run observed at every step keeps every state
+    every = run_transient(
+        MODEL_C, f, SolverConfig(dt=dt, t_end=t_end, observe_every=1, scheme=scheme),
+        keep_fields=True,
+    )
+    states = np.array([field.values for field in every.sampled_fields])
+    assert len(states) == every.steps + 1
+    lo, hi = float(states.min()), float(states.max())
+    sampled = np.vstack([states[::stride], states[-1:]])
+    assert (lo, hi) != (sampled.min(), sampled.max())  # the samples alone miss one
+    traj = run_transient(
+        MODEL_C, f, SolverConfig(dt=dt, t_end=t_end, observe_every=stride, scheme=scheme)
+    )
+    assert np.array_equal(traj.final.values, every.final.values)
+    assert (traj.min_value, traj.max_value) == (lo, hi)
+    assert (every.min_value, every.max_value) == (lo, hi)
+
+
+def test_implicit_run_guards_the_extrema_against_non_finite_states(monkeypatch):
+    g = build_grid(40)
+    f = build_initial(InitialSpec("parabola"), g, MODEL_C)
+    original = _ImplicitStepper.solve
+
+    calls = []
+
+    def poisoned(self, rho_old, dt, guess=None):
+        rho, u = original(self, rho_old, dt, guess)
+        calls.append(None)
+        if len(calls) == 5:  # the last step: no later solve sees it
+            rho[5] = np.nan
+        return rho, u
+
+    monkeypatch.setattr(_ImplicitStepper, "solve", poisoned)
+    config = SolverConfig(dt=1e-2, t_end=0.05, observe_every=1, scheme="implicit-entropy")
+    with pytest.raises(DivergenceError, match="non-finite"):
+        run_transient(MODEL_C, f, config)
 
 
 def test_residual_stationary_of_numeric_solution():

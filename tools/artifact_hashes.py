@@ -5,27 +5,39 @@ the two trees write byte-identical CSV, JSON and SVG files:
 
     PYTHONPATH=src python3 tools/artifact_hashes.py > after.txt
 
+With ``--out DIR`` the artifacts are written to DIR and kept, so that two
+trees can be compared value by value; ``--compare OLD NEW`` prints, for
+every CSV or JSON file whose bytes differ between two such directories,
+the largest relative change of each column (CSV) or numeric field (JSON):
+
+    PYTHONPATH=src python3 tools/artifact_hashes.py --out new > after.txt
+    python3 tools/artifact_hashes.py --compare old new
+
 The set: the nine presets cut to t_end 0.02 at observer strides 1, 7 and
 1000 (presets with snapshots take them at 0, 0.005 and 0.02); entropy-C on
 the implicit scheme at dt 1e-3 and strides 1 and 3; the mass evolution of
 mass1 and mass2 at stride 1; a three-member gamma sweep. Only the public
 ``run``, ``mass_evolution`` and ``gamma_sweep`` are used. Lines read
-``<sha256>  <path>``, paths relative to a temporary output directory.
+``<sha256>  <path>``, paths relative to the output directory.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
+import json
+import math
 import tempfile
 from pathlib import Path
-
-from fokker_flux.experiments import PRESETS, gamma_sweep, mass_evolution, preset_config, run
 
 SHORT = {"t_end": 0.02}
 SNAPSHOTS = [0.0, 0.005, 0.02]
 
 
 def write_all(root: Path) -> None:
+    from fokker_flux.experiments import PRESETS, gamma_sweep, mass_evolution, preset_config, run
+
     for name, preset in PRESETS.items():
         for stride in (1, 7, 1000):
             overrides = dict(SHORT, observe_every=stride)
@@ -42,14 +54,76 @@ def write_all(root: Path) -> None:
     gamma_sweep(base, [0.0, 0.5, 1.0], out_dir=str(root / "sweep"))
 
 
+def print_hashes(root: Path) -> None:
+    for path in sorted(root.rglob("*")):
+        if path.suffix in (".csv", ".json", ".svg"):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root)}")
+
+
+def _columns(path: Path) -> dict:
+    """Numeric columns of a CSV file, or numeric fields of a JSON file, by name."""
+    if path.suffix == ".json":
+        def leaves(value, name):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from leaves(item, f"{name}.{key}" if name else key)
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from leaves(item, f"{name}[{i}]")
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield name, [float(value)]
+
+        return dict(leaves(json.loads(path.read_text()), ""))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    return {name: [float(row[i]) for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _relative_change(old: float, new: float) -> float:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def compare(old_root: Path, new_root: Path) -> None:
+    """Largest relative change per column of every CSV / JSON file that differs."""
+    for old in sorted(old_root.rglob("*")):
+        if old.suffix not in (".csv", ".json"):
+            continue
+        name = old.relative_to(old_root)
+        new = new_root / name
+        if not new.exists():
+            print(f"{name}: missing in {new_root}")
+            continue
+        if old.read_bytes() == new.read_bytes():
+            continue
+        before, after = _columns(old), _columns(new)
+        for column in [*before, *(c for c in after if c not in before)]:
+            a, b = before.get(column), after.get(column)
+            if a is None or b is None or len(a) != len(b):
+                print(f"{name} {column}: present or sized differently")
+                continue
+            worst = max((_relative_change(x, y) for x, y in zip(a, b)), default=0.0)
+            if worst:
+                print(f"{name} {column}: {worst:.3e}")
+
+
 def main() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        write_all(root)
-        for path in sorted(root.rglob("*")):
-            if path.suffix in (".csv", ".json", ".svg"):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(root)}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="write the artifacts here and keep them")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                        help="compare two directories written with --out")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    elif args.out:
+        write_all(args.out)
+        print_hashes(args.out)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_all(Path(tmp))
+            print_hashes(Path(tmp))
 
 
 if __name__ == "__main__":
