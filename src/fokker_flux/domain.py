@@ -192,9 +192,10 @@ class ModelSpec:
 class Discretization:
     """One model on one grid: every array the schemes read that depends on V.
 
-    Built by :func:`discretize`, once per run; the explicit and implicit
-    steppers, the steady residual, the stationary solves and the rate
-    predictions all read it instead of evaluating the potential again.
+    Built by :func:`discretize`, once per run, and passed to every function
+    of the run path: the stationary solves, the steppers, the flux field,
+    the steady residual, the time step and the rate prediction all take it
+    instead of ``(model, grid)``, so the potential is evaluated once.
     """
 
     model: ModelSpec

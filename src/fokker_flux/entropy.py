@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DensityField, FloatArray, ModelSpec, discretize, trapezoid
+from .domain import DensityField, Discretization, FloatArray, ModelSpec, trapezoid
 from .errors import EntropyDomainError, FitError, UndefinedConstantError
 from .spectral import symmetric_k
 
@@ -164,11 +164,11 @@ class RatePrediction:
 
 
 def predicted_rate(
-    model: ModelSpec,
+    d: Discretization,
     rho_inf: DensityField,
     rho0: DensityField | None = None,
 ) -> RatePrediction:
-    """Analytic decay rate of the model-appropriate relative entropy.
+    """Analytic decay rate of the relative entropy of the model of ``d``.
 
     * model A: 2 k^2 from the symmetric Robin eigenvalue (a lower bound on
       the observed decay once drift is present),
@@ -178,6 +178,7 @@ def predicted_rate(
 
     Model B needs ``rho0`` for L.
     """
+    model = d.model
     if model.model == "A":
         return RatePrediction(symmetric_k(model.beta).rate, "spectral")
     ref = rho_inf.values
@@ -187,7 +188,7 @@ def predicted_rate(
                 "model B prediction needs the initial field to bound the density"
             )
         upper_bound = max(float(ref.max()), float(rho0.values.max()))
-        k2 = float(discretize(model, rho_inf.grid).exp_neg_v.min())
+        k2 = float(d.exp_neg_v.min())
         k1 = k1_bound(upper_bound, float(ref.min()))
         return RatePrediction(4.0 * model.beta * k2 / k1, "model-B-formula")
     ratio = (1.0 - ref) / ref

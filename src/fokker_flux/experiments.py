@@ -21,6 +21,7 @@ import numpy as np
 
 from .blas import serial_blas
 from .domain import (
+    Discretization,
     Grid,
     InitialSpec,
     ModelSpec,
@@ -95,10 +96,9 @@ class RunConfig:
             return InitialSpec("tabulated", values=np.asarray(d["values"], dtype=float))
         return InitialSpec(kind)
 
-    def resolve_dt(self, model: ModelSpec, grid: Grid) -> float:
-        if self.dt == "auto":
-            return 0.5 * discretize(model, grid).max_dt
-        return float(self.dt)
+    def resolve_dt(self, d: Discretization) -> float:
+        """The time step on ``d``: ``"auto"`` is half its stability bound."""
+        return 0.5 * d.max_dt if self.dt == "auto" else float(self.dt)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -278,32 +278,38 @@ def summary_json_dict(summary: RunSummary) -> dict:
 
 
 def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, Trajectory]:
-    """Run a configuration without touching the filesystem."""
+    """Run a configuration without touching the filesystem.
+
+    The potential is evaluated once: the run's one :class:`Discretization`
+    is passed to every step.
+    """
     started = time.perf_counter()
     model = config.model_spec()
     grid = config.grid()
     initial = build_initial(config.initial_spec(), grid, model)
-    dt = config.resolve_dt(model, grid)
+    d = discretize(model, grid)
+    dt = config.resolve_dt(d)
     solver = SolverConfig(
         dt=dt, t_end=config.t_end, observe_every=config.observe_every, scheme=config.scheme
     )
-    reference = stationary_numeric(model, grid)
+    reference = stationary_numeric(d)
     trajectory = run_transient(
-        model,
+        d,
         initial,
         solver,
         reference=reference,
         snapshot_times=config.snapshot_times,
         keep_fields=keep_fields,
     )
-    prediction = predicted_rate(model, reference.field, rho0=initial)
+    prediction = predicted_rate(d, reference.field, rho0=initial)
     fit: Optional[RateReport] = None
     try:
         window = default_fit_window(trajectory.times, trajectory.entropy)
         fit = fit_exponential_rate(trajectory.times, trajectory.entropy, window, prediction)
     except FitError:
         fit = None
-    closed = stationary_closed(model, grid)
+    # for model C the numeric solution is the closed form
+    closed = reference if model.crowded else stationary_closed(d)
     eigen = None
     if model.model == "A":
         eigen = {

@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    DensityField,
-    Discretization,
-    FloatArray,
-    Grid,
-    ModelSpec,
-    discretize,
-)
+from .domain import DensityField, Discretization, FloatArray, ModelSpec
 from .errors import InvalidModelError
 from .tridiag import solve_refined
 
@@ -54,8 +47,8 @@ def _solution(d: Discretization, values: FloatArray, method: str) -> StationaryS
     return StationarySolution(DensityField(values, d.grid), method, d.model, residual)
 
 
-def stationary_closed(model: ModelSpec, grid: Grid) -> StationarySolution:
-    """Closed-form stationary solution for the given model.
+def stationary_closed(d: Discretization) -> StationarySolution:
+    """Closed-form stationary solution of the model of ``d`` on its grid.
 
     * A: the steady flux equals ``alpha`` everywhere, which integrates to
       ``rho(x) = (C - alpha * int_0^x exp(-V)) * exp(V)`` with
@@ -66,7 +59,7 @@ def stationary_closed(model: ModelSpec, grid: Grid) -> StationarySolution:
       ``1 / (1 + (beta/alpha) exp(-V))``, which stays stable for large
       potentials.
     """
-    d = discretize(model, grid)
+    model = d.model
     alpha, beta = model.alpha, model.beta
     if model.model == "A":
         cum = _cumulative_exp_neg(d)
@@ -108,10 +101,8 @@ def slotboom_system(d: Discretization):
     return lower, diag, upper, rhs
 
 
-def stationary_numeric(
-    model: ModelSpec, grid: Grid, guess: FloatArray | None = None
-) -> StationarySolution:
-    """Stationary solution from the symmetric Slotboom solve (models A, B).
+def stationary_numeric(d: Discretization, guess: FloatArray | None = None) -> StationarySolution:
+    """Stationary solution on ``d`` from the symmetric Slotboom solve (models A, B).
 
     One round of iterative refinement follows the direct elimination; an
     optional ``guess`` seeds the refinement without changing the answer.
@@ -119,9 +110,8 @@ def stationary_numeric(
     ``alpha (1 - rho) = beta rho e^{-V}``, so the closed form already *is*
     the exact nodal solution and is returned as such.
     """
-    if model.model == "C":
-        return stationary_closed(model, grid)
-    d = discretize(model, grid)
+    if d.model.model == "C":
+        return stationary_closed(d)
     u = solve_refined(*slotboom_system(d), guess=guess)
     return _solution(d, u * d.exp_v, "numeric")
 

@@ -25,16 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blas import serial_blas
-from .domain import (
-    DensityField,
-    Discretization,
-    FloatArray,
-    Grid,
-    ModelSpec,
-    discretize,
-    node_average,
-    trapezoid,
-)
+from .domain import DensityField, Discretization, FloatArray, Grid, node_average, trapezoid
 from .entropy import default_kind, entropy, l1_distance
 from .errors import (
     ConfigError,
@@ -77,8 +68,11 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"time step must be positive, got {self.dt}")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ConfigError(f"final time must be nonnegative, got {self.t_end}")
+        if not 0.0 <= self.t_end / self.dt < math.inf:  # a finite step count
+            raise ConfigError(
+                f"final time must be nonnegative and t_end / dt finite, got "
+                f"t_end={self.t_end}, dt={self.dt}"
+            )
         if self.observe_every < 1:
             raise ConfigError("observer stride must be at least 1")
         if self.scheme not in ("explicit", "implicit-entropy"):
@@ -168,14 +162,15 @@ def _check_cfl(d: Discretization, dt: float) -> None:
         )
 
 
-def flux_field(rho: DensityField, model: ModelSpec) -> FluxField:
-    """All face fluxes, with the imposed boundary values at the two ends.
+def flux_field(rho: DensityField, d: Discretization) -> FluxField:
+    """All face fluxes at ``rho`` on ``d``, with the imposed boundary values
+    at the two ends; ``rho`` must lie on ``d.grid``.
 
     The faces the explicit step computes (:meth:`_ExplicitStepper.fluxes`).
     """
-    faces = _ExplicitStepper(discretize(model, rho.grid)).fluxes(rho.values).copy()
+    faces = _ExplicitStepper(d).fluxes(DensityField(rho.values, d.grid).values).copy()
     faces.setflags(write=False)
-    return FluxField(faces, rho.grid)
+    return FluxField(faces, d.grid)
 
 
 def residual_stationary(rows: FloatArray, d: Discretization) -> FloatArray:
@@ -324,15 +319,14 @@ def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
         yield rows
 
 
-def step_explicit(rho: DensityField, model: ModelSpec, dt: float) -> DensityField:
-    """One explicit step; requires ``dt <= discretize(model, grid).max_dt``."""
-    d = discretize(model, rho.grid)
+def step_explicit(rho: DensityField, d: Discretization, dt: float) -> DensityField:
+    """One explicit step of ``rho``, a field on ``d.grid``; requires ``dt <= d.max_dt``."""
+    work = DensityField(rho.values, d.grid).values.copy()
     _check_cfl(d, dt)
-    work = rho.values.copy()
     _ExplicitStepper(d).step(work, dt)
     if not np.all(np.isfinite(work)):
         raise DivergenceError("non-finite values after one explicit step")
-    return DensityField(work, rho.grid)
+    return DensityField(work, d.grid)
 
 
 class _ImplicitStepper:
@@ -563,31 +557,32 @@ def _extrapolate(history, out: FloatArray | None = None) -> FloatArray:
 
 def step_implicit_entropy(
     rho: DensityField,
-    model: ModelSpec,
+    d: Discretization,
     dt: float,
     newton: NewtonConfig | None = None,
 ) -> DensityField:
-    """One backward-Euler step of the entropy-variable scheme (model C).
+    """One backward-Euler step of the entropy-variable scheme (model C) on ``d``.
 
-    The previous state must lie strictly inside (0, 1); the returned state
-    does so by construction.
+    The previous state must lie on ``d.grid`` and strictly inside (0, 1);
+    the returned state does so by construction.
     """
-    vals = rho.values
+    vals = DensityField(rho.values, d.grid).values
     if np.any(vals <= 0.0) or np.any(vals >= 1.0):
         raise InvalidInitialError("implicit scheme needs the state strictly inside (0, 1)")
-    stepper = _ImplicitStepper(discretize(model, rho.grid), newton or NewtonConfig())
-    return DensityField(stepper.step(vals, dt), rho.grid)
+    stepper = _ImplicitStepper(d, newton or NewtonConfig())
+    return DensityField(stepper.step(vals, dt), d.grid)
 
 
 def run_transient(
-    model: ModelSpec,
+    d: Discretization,
     initial: DensityField,
     config: SolverConfig,
     reference: Optional[StationarySolution] = None,
     snapshot_times: Sequence[float] = (),
     keep_fields: bool = False,
 ) -> Trajectory:
-    """Step the model to ``t_end`` and sample observers along the way.
+    """Step the model of ``d`` from ``initial``, a field on ``d.grid``, to
+    ``t_end`` and sample observers along the way.
 
     Observers (model-appropriate relative entropy, trapezoid and
     node-average mass, L1 distance, steady residual) are computed against
@@ -617,15 +612,16 @@ def run_transient(
     implicit scheme keeps the elementwise extrema of its states and reduces
     them once per block; the explicit one checks each state's min and max.
     """
-    grid = initial.grid
-    initial.validate_for_model(model, strict_box=config.scheme == "implicit-entropy")
+    model, grid = d.model, d.grid
+    DensityField(initial.values, grid).validate_for_model(
+        model, strict_box=config.scheme == "implicit-entropy"
+    )
     if reference is None:
-        reference = stationary_numeric(model, grid)
+        reference = stationary_numeric(d)
     kind = default_kind(model)
 
     dt = config.dt
     steps = int(round(config.t_end / dt))
-    d = discretize(model, grid)
     if config.scheme == "explicit":
         _check_cfl(d, dt)
         explicit = _ExplicitStepper(d)

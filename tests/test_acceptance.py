@@ -20,6 +20,7 @@ from fokker_flux import (
     config_from_dict,
     ck_check,
     discrete_min_rayleigh,
+    discretize,
     entropy,
     execute,
     friedrichs_k,
@@ -86,8 +87,9 @@ def test_criterion_1_stationary_oracle_equivalence():
     started = time.perf_counter()
     grid = build_grid(200)
     model = ModelSpec("A", 1.0, 0.9, LINEAR)
-    closed = stationary_closed(model, grid)
-    numeric = stationary_numeric(model, grid)
+    d = discretize(model, grid)
+    closed = stationary_closed(d)
+    numeric = stationary_numeric(d)
     gap = float(np.max(np.abs(closed.field.values - numeric.field.values)))
     equilibrium_mass = trapezoid(numeric.field.values, grid.dx)
     elapsed = time.perf_counter() - started
@@ -211,12 +213,13 @@ def test_criterion_8_property_suites(run_a_fine, run_a_gamma0, run_b, run_c):
     grid = build_grid(200)
     model = ModelSpec("A", 1.0, 0.9, LINEAR)
     state = build_initial(InitialSpec("affine", a=-0.1, b=1.2), grid, model)
+    d = discretize(model, grid)
     dt = 5e-6
     worst = 0.0
     for _ in range(2000):
         before = trapezoid(state.values, grid.dx)
         boundary = state.values[-1]
-        state = step_explicit(state, model, dt)
+        state = step_explicit(state, d, dt)
         after = trapezoid(state.values, grid.dx)
         worst = max(worst, abs((after - before) - dt * (model.alpha - model.beta * boundary)))
     balance_ok = worst < 1e-12
@@ -267,12 +270,13 @@ def test_criterion_9_convergence_order():
     errors = []
     for n, dt in ((50, 1e-4), (100, 2.5e-5), (200, 6.25e-6)):
         grid = build_grid(n)
-        closed = stationary_closed(model, grid)
+        d = discretize(model, grid)
+        closed = stationary_closed(d)
         init = build_initial(
             InitialSpec("tabulated", values=closed.field.values.copy()), grid, model
         )
         cfg = SolverConfig(dt=dt, t_end=4.0, observe_every=10**9)
-        trajectory = run_transient(model, init, cfg, reference=closed)
+        trajectory = run_transient(d, init, cfg, reference=closed)
         errors.append(float(np.max(np.abs(trajectory.final.values - closed.field.values))))
     r1 = errors[0] / errors[1]
     r2 = errors[1] / errors[2]

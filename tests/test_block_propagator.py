@@ -37,7 +37,9 @@ def test_every_step_keeps_the_mass_balance(name, t_end):
                                   "t_end": t_end, "observe_every": 1})
     model, grid = config.model_spec(), config.grid()
     initial = build_initial(config.initial_spec(), grid, model)
-    traj = run_transient(model, initial, SolverConfig(dt=dt, t_end=t_end, observe_every=1))
+    traj = run_transient(
+        discretize(model, grid), initial, SolverConfig(dt=dt, t_end=t_end, observe_every=1)
+    )
     assert traj.times.size == traj.steps + 1 > 100 * B
     balance = np.diff(traj.mass) - dt * (alpha - beta * traj.outflow_density[:-1])
     assert np.max(np.abs(balance)) <= 1e-13 * (1.0 + traj.max_value)
@@ -70,9 +72,10 @@ def test_block_boundaries_match_stepping(model_name, stride):
         runs.append((steps, snap_step))
     wanted = {k for steps, snap in runs for k in (*range(0, steps + 1, stride), steps, snap)}
     reference = stepped_states(model, initial, dt, max(s for s, _ in runs), wanted)
+    d = discretize(model, grid)
     for steps, snap_step in runs:
         config = SolverConfig(dt=dt, t_end=steps * dt, observe_every=stride)
-        traj = run_transient(model, initial, config, snapshot_times=[snap_step * dt],
+        traj = run_transient(d, initial, config, snapshot_times=[snap_step * dt],
                              keep_fields=True)
         sampled = [*range(0, steps, stride), steps]
         assert traj.steps == steps
@@ -114,7 +117,7 @@ def test_divergence_in_a_later_block_reported_at_its_row(monkeypatch):
     monkeypatch.setattr(transient, "entropy", recording_entropy)
     config = SolverConfig(dt=dt, t_end=4 * B * stride * dt, observe_every=stride)
     with pytest.raises(DivergenceError) as excinfo:
-        run_transient(model, initial, config)
+        run_transient(discretize(model, grid), initial, config)
     assert excinfo.value.step == bad_sample * stride
     assert excinfo.value.time == bad_sample * stride * dt
     # the observers ran on every sample before it, and on nothing after it

@@ -8,16 +8,22 @@ import fokker_flux.entropy as entropy_module
 import fokker_flux.stationary as stationary
 import fokker_flux.transient as transient
 from fokker_flux import (
+    DensityField,
     InitialSpec,
     ModelSpec,
     PotentialSpec,
+    ShapeError,
     SolverConfig,
     build_grid,
     build_initial,
     discretize,
+    execute,
     flux_field,
+    preset_config,
     run_transient,
     stationary_numeric,
+    step_explicit,
+    step_implicit_entropy,
 )
 
 LINEAR = PotentialSpec("linear")
@@ -34,9 +40,8 @@ LINEAR = PotentialSpec("linear")
 def test_run_evaluates_the_potential_once(model, initial, scheme, monkeypatch):
     grid = build_grid(40)
     rho0 = build_initial(InitialSpec(initial), grid, model)
-    reference = stationary_numeric(model, grid)
     evaluations, built = [], []
-    evaluate, build = domain.eval_potential, transient.discretize
+    evaluate, build = domain.eval_potential, domain.discretize
 
     def counted_evaluate(*args):
         evaluations.append(args)
@@ -50,12 +55,59 @@ def test_run_evaluates_the_potential_once(model, initial, scheme, monkeypatch):
     for module in (domain, transient, stationary, entropy_module):
         if hasattr(module, "eval_potential"):
             monkeypatch.setattr(module, "eval_potential", counted_evaluate)
-    monkeypatch.setattr(transient, "discretize", counted_build)
+        if hasattr(module, "discretize"):
+            monkeypatch.setattr(module, "discretize", counted_build)
+    d = domain.discretize(model, grid)  # the run's one discretization
+    reference = stationary_numeric(d)
     dt = 1e-3 if scheme == "implicit-entropy" else 1e-4
     config = SolverConfig(dt=dt, t_end=0.05, observe_every=7, scheme=scheme)
-    run_transient(model, rho0, config, reference=reference, snapshot_times=[0.02])
+    run_transient(d, rho0, config, reference=reference, snapshot_times=[0.02])
     assert len(built) == 1
     assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("entropy-A", {}),
+        ("entropy-B", {}),
+        ("entropy-C", {}),
+        ("entropy-C", {"scheme": "implicit-entropy", "dt": 1e-3}),
+        ("entropy-A", {"dt": "auto"}),
+    ],
+    ids=["A", "B", "C", "C-implicit", "A-auto-dt"],
+)
+def test_execute_evaluates_the_potential_once(name, overrides, monkeypatch):
+    evaluations = []
+    evaluate = domain.eval_potential
+
+    def counted_evaluate(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(domain, "eval_potential", counted_evaluate)
+    execute(preset_config(name, {"n": 40, "t_end": 0.01, **overrides}))
+    assert len(evaluations) == 1
+
+
+ON_40_NODES = discretize(ModelSpec("C", 1.0, 0.9, LINEAR), build_grid(40))
+
+
+@pytest.mark.parametrize("n", [39, 41])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, d: run_transient(d, rho, SolverConfig(dt=1e-4, t_end=1e-3)),
+        lambda rho, d: step_explicit(rho, d, 1e-4),
+        lambda rho, d: step_implicit_entropy(rho, d, 1e-3),
+        lambda rho, d: flux_field(rho, d),
+    ],
+    ids=["run_transient", "step_explicit", "step_implicit_entropy", "flux_field"],
+)
+def test_a_field_on_another_grid_is_a_shape_error(call, n):
+    grid = build_grid(n)
+    with pytest.raises(ShapeError):
+        call(DensityField(np.full(n, 0.5), grid), ON_40_NODES)
 
 
 def parent_flux_field(values, model, grid):
@@ -88,7 +140,7 @@ def test_flux_field_matches_the_parent_formula(name, potential):
             domain.DensityField(0.2 + 0.6 * grid.nodes**2, grid),
             domain.DensityField(rng.uniform(0.01, 0.99, n), grid),
         ):
-            got = flux_field(rho, model).values
+            got = flux_field(rho, discretize(model, grid)).values
             want = parent_flux_field(rho.values, model, grid)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             assert got[0] == want[0] and got[-1] == want[-1]

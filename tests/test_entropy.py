@@ -11,6 +11,7 @@ from fokker_flux import (
     PotentialSpec,
     UndefinedConstantError,
     build_grid,
+    discretize,
     ck_check,
     ck_constant,
     default_fit_window,
@@ -253,8 +254,9 @@ def test_elementary_log_sqrt_inequality():
 def test_predicted_rate_model_C_linear_potential():
     g = build_grid(200)
     m = ModelSpec("C", 1.0, 0.9, PotentialSpec("linear"))
-    ref = stationary_closed(m, g)
-    pred = predicted_rate(m, ref.field)
+    d = discretize(m, g)
+    ref = stationary_closed(d)
+    pred = predicted_rate(d, ref.field)
     # (1 - rho_inf)/rho_inf = (beta/alpha) e^{-V}, minimized at x = 1
     assert pred.value == pytest.approx(0.9 * math.exp(-1.0), rel=1e-12)
     assert pred.value == pytest.approx(0.33110, abs=5e-5)
@@ -263,15 +265,15 @@ def test_predicted_rate_model_C_linear_potential():
 
 def test_predicted_rate_model_C_trivial():
     g = build_grid(50)
-    m = ModelSpec("C", 1.0, 1.0, PotentialSpec("zero"))
-    pred = predicted_rate(m, stationary_closed(m, g).field)
+    d = discretize(ModelSpec("C", 1.0, 1.0, PotentialSpec("zero")), g)
+    pred = predicted_rate(d, stationary_closed(d).field)
     assert pred.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_predicted_rate_model_A_is_spectral():
     g = build_grid(50)
-    m = ModelSpec("A", 1.0, 1.0, PotentialSpec("zero"))
-    pred = predicted_rate(m, stationary_closed(m, g).field)
+    d = discretize(ModelSpec("A", 1.0, 1.0, PotentialSpec("zero")), g)
+    pred = predicted_rate(d, stationary_closed(d).field)
     assert pred.value == pytest.approx(1.4802, abs=2e-3)
     assert pred.provenance == "spectral"
 
@@ -279,9 +281,10 @@ def test_predicted_rate_model_A_is_spectral():
 def test_predicted_rate_model_B_formula():
     g = build_grid(200)
     m = ModelSpec("B", 1.0, 0.9, PotentialSpec("linear"))
-    ref = stationary_closed(m, g)
+    d = discretize(m, g)
+    ref = stationary_closed(d)
     rho0 = DensityField(-0.1 * g.nodes + 1.2, g)
-    pred = predicted_rate(m, ref.field, rho0=rho0)
+    pred = predicted_rate(d, ref.field, rho0=rho0)
     # oracle assembled from the ingredients directly
     big_l = max(ref.field.values.max(), 1.2)
     k2 = math.exp(-1.0)
@@ -294,9 +297,10 @@ def test_predicted_rate_model_B_formula():
 def test_predicted_rate_model_B_needs_bound():
     g = build_grid(50)
     m = ModelSpec("B", 1.0, 0.9, PotentialSpec("linear"))
-    ref = stationary_closed(m, g)
+    d = discretize(m, g)
+    ref = stationary_closed(d)
     with pytest.raises(UndefinedConstantError):
-        predicted_rate(m, ref.field)
+        predicted_rate(d, ref.field)
 
 
 # ------------------------------------------------------------ rate fitting

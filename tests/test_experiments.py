@@ -97,7 +97,8 @@ def test_config_rejects_bad_emit_and_scheme():
 def test_config_auto_dt_resolves_to_half_bound():
     cfg = config_from_dict(dict(TINY, dt="auto"))
     model, grid = cfg.model_spec(), cfg.grid()
-    assert cfg.resolve_dt(model, grid) == pytest.approx(0.5 * discretize(model, grid).max_dt)
+    d = discretize(model, grid)
+    assert cfg.resolve_dt(d) == pytest.approx(0.5 * d.max_dt)
 
 
 # ------------------------------------------------------------- artifacts
@@ -222,7 +223,7 @@ def test_evolution_A_preset_reaches_equilibrium():
     # reference experiment: n = 200, dt = 5e-6, equilibrium by t = 9
     summary, trajectory = execute(preset_config("evolution-A"))
     closed = stationary_closed(
-        preset_config("evolution-A").model_spec(), trajectory.final.grid
+        discretize(preset_config("evolution-A").model_spec(), trajectory.final.grid)
     )
     assert summary.final_sup_distance < 1e-3
     assert np.max(np.abs(trajectory.final.values - closed.field.values)) < 1e-3
@@ -410,6 +411,14 @@ def test_cli_unallocatable_sample_series_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot allocate the 6e+15 observer samples" in err
     assert "raise observe_every or dt" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_step_count_overflow_exits_2(tmp_path, capsys):
+    # t_end / dt = 6 / 1e-320 overflows to inf: no step count to round
+    code = main(["preset", "entropy-A", "--out", str(tmp_path / "x"), "--set", "dt=1e-320"])
+    assert code == 2
+    assert "t_end / dt finite" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

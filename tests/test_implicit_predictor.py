@@ -220,7 +220,7 @@ def test_singular_jacobian_in_a_run_carries_the_time():
     initial = build_initial(InitialSpec("parabola"), g, MODEL_C)
     config = SolverConfig(dt=0.1, t_end=20.0, scheme="implicit-entropy")
     with pytest.raises(StepFailureError, match="t=0.1: singular Newton Jacobian") as excinfo:
-        run_transient(MODEL_C, initial, config)
+        run_transient(discretize(MODEL_C, g), initial, config)
     assert excinfo.value.time == pytest.approx(0.1)
     assert np.isfinite(excinfo.value.residual) and excinfo.value.residual > 0.0
     assert isinstance(excinfo.value.__cause__.__cause__, IterationError)

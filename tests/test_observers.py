@@ -64,11 +64,12 @@ def run_preset(name, overrides, stride):
     )
     model, grid = config.model_spec(), config.grid()
     initial = build_initial(config.initial_spec(), grid, model)
+    d = discretize(model, grid)
     solver = SolverConfig(
-        dt=config.resolve_dt(model, grid), t_end=config.t_end,
+        dt=config.resolve_dt(d), t_end=config.t_end,
         observe_every=stride, scheme=config.scheme,
     )
-    traj = run_transient(model, initial, solver, snapshot_times=SNAP_TIMES, keep_fields=True)
+    traj = run_transient(d, initial, solver, snapshot_times=SNAP_TIMES, keep_fields=True)
     return model, traj
 
 
@@ -129,7 +130,7 @@ def test_sample_counts_around_the_block_size(samples, model_name):
     dt = 1e-4
     config = SolverConfig(dt=dt, t_end=(samples - 1) * dt, observe_every=1)
     for keep in (False, True):
-        traj = run_transient(model, initial, config, keep_fields=keep)
+        traj = run_transient(discretize(model, grid), initial, config, keep_fields=keep)
         assert traj.steps == samples - 1
         assert traj.times.size == samples
         assert len(traj.sampled_fields) == (samples if keep else 0)
@@ -139,7 +140,7 @@ def test_sample_counts_around_the_block_size(samples, model_name):
 def test_block_entropy_names_the_node():
     grid = build_grid(12)
     model = ModelSpec("C", 1.0, 0.9)
-    ref = stationary_numeric(model, grid).field
+    ref = stationary_numeric(discretize(model, grid)).field
     block = np.tile(ref.values, (4, 1))
     negative = block.copy()
     negative[2, 5] = -1e-3
@@ -187,4 +188,4 @@ def test_observer_error_of_a_pending_sample_comes_before_divergence(monkeypatch)
     monkeypatch.setattr(_ExplicitStepper, "step", poisoned)
     config = SolverConfig(dt=1e-4, t_end=0.01, observe_every=1)
     with pytest.raises(EntropyDomainError, match=r"density 1\.5 above 1 at node 3"):
-        run_transient(model, initial, config)
+        run_transient(discretize(model, grid), initial, config)

@@ -56,8 +56,9 @@ def positivity_bound(model, grid):
 @given(states("A"), fractions)
 def test_model_A_step_keeps_the_discrete_mass_balance(drawn, fraction):
     model, grid, rho = drawn
-    dt = fraction * discretize(model, grid).max_dt
-    after = step_explicit(rho, model, dt)
+    d = discretize(model, grid)
+    dt = fraction * d.max_dt
+    after = step_explicit(rho, d, dt)
     gap = (trapezoid(after.values, grid.dx) - trapezoid(rho.values, grid.dx)) - dt * (
         model.alpha - model.beta * rho.values[-1]
     )
@@ -68,7 +69,8 @@ def test_model_A_step_keeps_the_discrete_mass_balance(drawn, fraction):
 @given(st.sampled_from("ABC").flatmap(states), fractions)
 def test_step_keeps_positivity_and_the_box(drawn, fraction):
     model, grid, rho = drawn
-    after = step_explicit(rho, model, fraction * positivity_bound(model, grid)).values
+    d = discretize(model, grid)
+    after = step_explicit(rho, d, fraction * positivity_bound(model, grid)).values
     assert after.min() >= -1e-15 * (1.0 + rho.values.max())
     if model.crowded:
         assert after.max() <= 1.0 + 1e-15

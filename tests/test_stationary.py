@@ -28,20 +28,20 @@ def direct_integration_A(x, alpha, beta):
 
 def test_modelA_closed_matches_direct_integration():
     g = build_grid(200)
-    sol = stationary_closed(ModelSpec("A", 1.0, 0.9, LINEAR), g)
+    sol = stationary_closed(discretize(ModelSpec("A", 1.0, 0.9, LINEAR), g))
     assert np.max(np.abs(sol.field.values - direct_integration_A(g.nodes, 1.0, 0.9))) < 1e-13
 
 
 def test_modelA_outflow_identity_exact():
     for beta in (0.5, 0.9, 1.0, 2.0):
         g = build_grid(101)
-        sol = stationary_closed(ModelSpec("A", 1.0, beta, LINEAR), g)
+        sol = stationary_closed(discretize(ModelSpec("A", 1.0, beta, LINEAR), g))
         assert sol.field.values[-1] == pytest.approx(1.0 / beta, rel=1e-14)
 
 
 def test_modelA_equilibrium_mass():
     g = build_grid(200)
-    sol = stationary_closed(ModelSpec("A", 1.0, 0.9, LINEAR), g)
+    sol = stationary_closed(discretize(ModelSpec("A", 1.0, 0.9, LINEAR), g))
     assert trapezoid(sol.field.values, g.dx) == pytest.approx(1.0703, abs=2e-3)
 
 
@@ -49,7 +49,7 @@ def test_modelA_zero_potential_reduces_to_line():
     # with V = 0 the constant flux alpha integrates to rho = C - alpha x,
     # C = alpha (1/beta + 1); for alpha = beta = 1 the outflow value is 1
     g = build_grid(50)
-    sol = stationary_closed(ModelSpec("A", 1.0, 1.0, ZERO), g)
+    sol = stationary_closed(discretize(ModelSpec("A", 1.0, 1.0, ZERO), g))
     assert np.max(np.abs(sol.field.values - (2.0 - g.nodes))) < 1e-13
     assert sol.field.values[-1] == pytest.approx(1.0)
 
@@ -57,8 +57,8 @@ def test_modelA_zero_potential_reduces_to_line():
 def test_modelA_tabulated_potential_consistent_with_linear():
     g = build_grid(400)
     tab = PotentialSpec("tabulated", values=g.nodes.copy())
-    exact = stationary_closed(ModelSpec("A", 1.0, 0.9, LINEAR), g).field.values
-    approx = stationary_closed(ModelSpec("A", 1.0, 0.9, tab), g).field.values
+    exact = stationary_closed(discretize(ModelSpec("A", 1.0, 0.9, LINEAR), g)).field.values
+    approx = stationary_closed(discretize(ModelSpec("A", 1.0, 0.9, tab), g)).field.values
     assert np.max(np.abs(exact - approx)) < 1e-6  # trapezoid cumulative error
 
 
@@ -69,9 +69,9 @@ def test_nonlinear_tabulated_potential_routes_agree():
     for n in (100, 200, 400):
         g = build_grid(n)
         pot = PotentialSpec("tabulated", values=0.3 * np.sin(2 * np.pi * g.nodes) + g.nodes)
-        m = ModelSpec("A", 1.0, 0.9, pot)
-        closed = stationary_closed(m, g).field.values
-        numeric = stationary_numeric(m, g).field.values
+        d = discretize(ModelSpec("A", 1.0, 0.9, pot), g)
+        closed = stationary_closed(d).field.values
+        numeric = stationary_numeric(d).field.values
         assert numeric.min() > 0.0
         gaps.append(np.max(np.abs(closed - numeric)))
     assert 3.0 < gaps[0] / gaps[1] < 5.0
@@ -80,18 +80,24 @@ def test_nonlinear_tabulated_potential_routes_agree():
 
 def test_modelB_closed_values():
     g = build_grid(200)
-    assert np.all(stationary_closed(ModelSpec("B", 1.0, 1.0, ZERO), g).field.values == 1.0)
-    sol = stationary_closed(ModelSpec("B", 1.0, 0.9, LINEAR), g)
+    assert np.all(
+        stationary_closed(discretize(ModelSpec("B", 1.0, 1.0, ZERO), g)).field.values == 1.0
+    )
+    sol = stationary_closed(discretize(ModelSpec("B", 1.0, 0.9, LINEAR), g))
     assert sol.field.values[-1] == pytest.approx(math.e / 0.9, rel=1e-14)
-    assert np.all(stationary_closed(ModelSpec("B", 2.0, 1.0, ZERO), g).field.values == 2.0)
+    assert np.all(
+        stationary_closed(discretize(ModelSpec("B", 2.0, 1.0, ZERO), g)).field.values == 2.0
+    )
 
 
 def test_modelC_closed_values():
     g = build_grid(200)
-    assert np.all(stationary_closed(ModelSpec("C", 1.0, 1.0, ZERO), g).field.values == 0.5)
-    sol = stationary_closed(ModelSpec("C", 1.0, 0.9, LINEAR), g)
+    assert np.all(
+        stationary_closed(discretize(ModelSpec("C", 1.0, 1.0, ZERO), g)).field.values == 0.5
+    )
+    sol = stationary_closed(discretize(ModelSpec("C", 1.0, 0.9, LINEAR), g))
     assert sol.field.values[-1] == pytest.approx(math.e / (0.9 + math.e), rel=1e-14)
-    tiny = stationary_closed(ModelSpec("C", 1e-6, 1.0, ZERO), g)
+    tiny = stationary_closed(discretize(ModelSpec("C", 1e-6, 1.0, ZERO), g))
     assert tiny.field.values[0] == pytest.approx(1e-6, rel=1e-5)
     assert 0.0 < tiny.field.values.min() and tiny.field.values.max() < 1.0
 
@@ -99,18 +105,19 @@ def test_modelC_closed_values():
 def test_rates_must_be_positive():
     g = build_grid(10)
     with pytest.raises(InvalidModelError):
-        stationary_closed(ModelSpec("A", 0.0, 1.0, LINEAR), g)
+        stationary_closed(discretize(ModelSpec("A", 0.0, 1.0, LINEAR), g))
     with pytest.raises(InvalidModelError):
-        stationary_closed(ModelSpec("B", 1.0, -1.0, LINEAR), g)
+        stationary_closed(discretize(ModelSpec("B", 1.0, -1.0, LINEAR), g))
     with pytest.raises(InvalidModelError):
-        stationary_closed(ModelSpec("C", 1.0, 0.0, LINEAR), g)
+        stationary_closed(discretize(ModelSpec("C", 1.0, 0.0, LINEAR), g))
 
 
 def test_numeric_matches_closed_form_model_A():
     g = build_grid(200)
     m = ModelSpec("A", 1.0, 0.9, LINEAR)
-    closed = stationary_closed(m, g)
-    numeric = stationary_numeric(m, g)
+    d = discretize(m, g)
+    closed = stationary_closed(d)
+    numeric = stationary_numeric(d)
     assert numeric.method == "numeric"
     assert np.max(np.abs(numeric.field.values - closed.field.values)) < 1e-6
 
@@ -119,9 +126,9 @@ def test_numeric_convergence_is_second_order():
     m = ModelSpec("A", 1.0, 0.9, LINEAR)
     errs = []
     for n in (100, 200, 400):
-        g = build_grid(n)
-        closed = stationary_closed(m, g).field.values
-        numeric = stationary_numeric(m, g).field.values
+        d = discretize(m, build_grid(n))
+        closed = stationary_closed(d).field.values
+        numeric = stationary_numeric(d).field.values
         errs.append(np.max(np.abs(numeric - closed)))
     assert 3.5 < errs[0] / errs[1] < 4.5
     assert 3.5 < errs[1] / errs[2] < 4.5
@@ -130,15 +137,16 @@ def test_numeric_convergence_is_second_order():
 def test_numeric_model_B_is_exact():
     g = build_grid(200)
     m = ModelSpec("B", 1.3, 0.7, LINEAR)
-    closed = stationary_closed(m, g)
-    numeric = stationary_numeric(m, g)
+    d = discretize(m, g)
+    closed = stationary_closed(d)
+    numeric = stationary_numeric(d)
     assert np.max(np.abs(numeric.field.values - closed.field.values)) < 1e-8
 
 
 def test_numeric_model_C_delegates_to_closed_form():
     g = build_grid(100)
     m = ModelSpec("C", 1.0, 0.9, LINEAR)
-    sol = stationary_numeric(m, g)
+    sol = stationary_numeric(discretize(m, g))
     assert sol.method == "closed-form"
     assert sol.residual < 1e-10
 
@@ -164,23 +172,24 @@ def test_slotboom_rejects_model_C():
 def test_numeric_positivity():
     g = build_grid(150)
     for m in (ModelSpec("A", 0.3, 2.0, LINEAR), ModelSpec("B", 0.5, 1.5, ZERO)):
-        assert stationary_numeric(m, g).field.values.min() > 0.0
+        assert stationary_numeric(discretize(m, g)).field.values.min() > 0.0
 
 
 def test_uniqueness_probe_guess_independent():
     g = build_grid(200)
     m = ModelSpec("A", 1.0, 0.9, LINEAR)
-    base = stationary_numeric(m, g).field.values
+    d = discretize(m, g)
+    base = stationary_numeric(d).field.values
     rng = np.random.default_rng(7)
     guess = base * np.exp(-g.nodes) + rng.normal(scale=0.3, size=g.n)
-    probed = stationary_numeric(m, g, guess=guess).field.values
+    probed = stationary_numeric(d, guess=guess).field.values
     assert np.max(np.abs(probed - base)) < 1e-12
 
 
 def test_residual_of_numeric_solution_below_tolerance():
     g = build_grid(200)
     for m in (ModelSpec("A", 1.0, 0.9, LINEAR), ModelSpec("B", 1.0, 0.9, LINEAR)):
-        assert stationary_numeric(m, g).residual < 1e-10
+        assert stationary_numeric(discretize(m, g)).residual < 1e-10
 
 
 def test_residual_of_closed_form_shrinks_under_refinement():
@@ -189,8 +198,8 @@ def test_residual_of_closed_form_shrinks_under_refinement():
     m = ModelSpec("A", 1.0, 0.9, LINEAR)
     sups, interiors = [], []
     for n in (100, 200, 400):
-        g = build_grid(n)
-        r = nodal_residual(discretize(m, g), stationary_closed(m, g).field.values)
+        d = discretize(m, build_grid(n))
+        r = nodal_residual(d, stationary_closed(d).field.values)
         sups.append(np.max(np.abs(r)))
         interiors.append(np.max(np.abs(r[1:-1])))
     assert 1.8 < sups[0] / sups[1] < 2.2
@@ -203,8 +212,9 @@ def test_residual_of_perturbed_model_B():
     # untouched (linear V) and changes the reaction by -beta c e^{-V}
     g = build_grid(200)
     m = ModelSpec("B", 1.0, 0.9, LINEAR)
-    shifted = stationary_closed(m, g).field.values + 0.1
-    r = nodal_residual(discretize(m, g), shifted)
+    d = discretize(m, g)
+    shifted = stationary_closed(d).field.values + 0.1
+    r = nodal_residual(d, shifted)
     expected = 0.1 * 0.9 * np.exp(-g.nodes[1:-1])
     assert np.max(np.abs(np.abs(r[1:-1]) - expected)) < 1e-3
     assert np.max(np.abs(r[1:-1])) == pytest.approx(0.09, abs=1e-3)

@@ -50,20 +50,20 @@ def test_face_flux_constant_density_drift_only():
     g = build_grid(50)
     f = constant_field(g, 0.7)
     for i in (0, 10, 48):
-        assert flux_field(f, MODEL_A).values[i + 1] == pytest.approx(0.7)
+        assert flux_field(f, discretize(MODEL_A, g)).values[i + 1] == pytest.approx(0.7)
 
 
 def test_face_flux_zero_potential():
     g = build_grid(50)
     f = constant_field(g, 0.7)
     m = ModelSpec("A", 1.0, 1.0, ZERO)
-    assert flux_field(f, m).values[6] == 0.0
+    assert flux_field(f, discretize(m, g)).values[6] == 0.0
 
 
 def test_face_flux_crowded_mobility():
     g = build_grid(50)
     f = constant_field(g, 0.25)
-    assert flux_field(f, MODEL_C).values[4] == pytest.approx(0.25 * 0.75)
+    assert flux_field(f, discretize(MODEL_C, g)).values[4] == pytest.approx(0.25 * 0.75)
 
 
 def test_face_flux_on_stationary_profile_is_influx_rate():
@@ -71,9 +71,9 @@ def test_face_flux_on_stationary_profile_is_influx_rate():
     # a second-order truncation term, checked by grid refinement
     worst = []
     for n in (100, 200):
-        g = build_grid(n)
-        sol = stationary_closed(MODEL_A, g)
-        ff = flux_field(sol.field, MODEL_A)
+        d = discretize(MODEL_A, build_grid(n))
+        sol = stationary_closed(d)
+        ff = flux_field(sol.field, d)
         worst.append(np.max(np.abs(ff.values[1:-1] - 1.0)))
     assert worst[0] < 25 * (1.0 / 99) ** 2
     assert 3.5 < worst[0] / worst[1] < 4.5
@@ -82,11 +82,11 @@ def test_face_flux_on_stationary_profile_is_influx_rate():
 def test_flux_field_boundary_faces():
     g = build_grid(20)
     f = constant_field(g, 0.5)
-    ff = flux_field(f, MODEL_A)
+    ff = flux_field(f, discretize(MODEL_A, g))
     assert ff.values[0] == MODEL_A.alpha
     assert ff.values[-1] == MODEL_A.beta * 0.5
     for m in (MODEL_B, MODEL_C):
-        ffm = flux_field(f, m)
+        ffm = flux_field(f, discretize(m, g))
         assert ffm.values[0] == 0.0 and ffm.values[-1] == 0.0
 
 
@@ -110,8 +110,9 @@ def test_cfl_empirical_no_blowup_at_half_bound():
     g = build_grid(60)
     m = ModelSpec("A", 1.0, 1.0, ZERO)
     init = build_initial(InitialSpec("affine", a=-0.1, b=1.2), g, m)
-    cfg = SolverConfig(dt=0.5 * discretize(m, g).max_dt, t_end=0.05, observe_every=50)
-    traj = run_transient(m, init, cfg)
+    d = discretize(m, g)
+    cfg = SolverConfig(dt=0.5 * d.max_dt, t_end=0.05, observe_every=50)
+    traj = run_transient(d, init, cfg)
     assert np.all(np.isfinite(traj.final.values))
     assert traj.max_value < 10.0
 
@@ -122,14 +123,15 @@ def test_step_explicit_rejects_unstable_dt():
     g = build_grid(100)
     f = constant_field(g, 1.0)
     with pytest.raises(StabilityError):
-        step_explicit(f, MODEL_A, 1e-3)
+        step_explicit(f, discretize(MODEL_A, g), 1e-3)
 
 
 def test_step_explicit_fixed_point_model_B():
     g = build_grid(200)
-    sol = stationary_closed(MODEL_B, g)
+    d = discretize(MODEL_B, g)
+    sol = stationary_closed(d)
     dt = 5e-6
-    out = step_explicit(sol.field, MODEL_B, dt)
+    out = step_explicit(sol.field, d, dt)
     dev = np.abs(out.values - sol.field.values)
     # interior truncation is O(dx^2); the half-cell boundary rows are O(dx)
     assert dev[1:-1].max() < dt * g.dx**2
@@ -140,7 +142,7 @@ def test_step_explicit_divergence_detected():
     g = build_grid(10)
     bad = DensityField(np.array([1.0] * 9 + [np.inf]), g)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError):
-        step_explicit(bad, MODEL_A, 1e-5)
+        step_explicit(bad, discretize(MODEL_A, g), 1e-5)
 
 
 def test_discrete_mass_balance_per_step():
@@ -148,13 +150,14 @@ def test_discrete_mass_balance_per_step():
     g = build_grid(200)
     m = MODEL_A
     f = build_initial(InitialSpec("affine", a=-0.1, b=1.2), g, m)
+    d = discretize(m, g)
     dt = 5e-6
     state = f
     worst = 0.0
     for _ in range(400):
         m_before = trapezoid(state.values, g.dx)
         out_density = state.values[-1]
-        state = step_explicit(state, m, dt)
+        state = step_explicit(state, d, dt)
         m_after = trapezoid(state.values, g.dx)
         gap = abs((m_after - m_before) - dt * (m.alpha - m.beta * out_density))
         worst = max(worst, gap)
@@ -166,7 +169,7 @@ def test_positivity_preserved_for_linear_models():
     m = MODEL_A
     f = build_initial(InitialSpec("mass2"), g, m)  # touches zero
     cfg = SolverConfig(dt=1e-5, t_end=0.02, observe_every=500)
-    traj = run_transient(m, f, cfg)
+    traj = run_transient(discretize(m, g), f, cfg)
     assert traj.min_value >= -1e-12
 
 
@@ -174,7 +177,7 @@ def test_box_preserved_for_crowded_model():
     g = build_grid(200)
     f = build_initial(InitialSpec("parabola"), g, MODEL_C)
     cfg = SolverConfig(dt=1e-5, t_end=0.05, observe_every=1000)
-    traj = run_transient(MODEL_C, f, cfg)
+    traj = run_transient(discretize(MODEL_C, g), f, cfg)
     assert traj.min_value >= -1e-12
     assert traj.max_value <= 1.0 + 1e-12
 
@@ -183,8 +186,9 @@ def test_box_preserved_for_crowded_model():
 
 def test_implicit_step_fixed_point():
     g = build_grid(200)
-    sol = stationary_closed(MODEL_C, g)
-    out = step_implicit_entropy(sol.field, MODEL_C, 1e-3)
+    d = discretize(MODEL_C, g)
+    sol = stationary_closed(d)
+    out = step_implicit_entropy(sol.field, d, 1e-3)
     assert np.max(np.abs(out.values - sol.field.values)) < 1e-10
 
 
@@ -192,27 +196,28 @@ def test_implicit_step_stays_in_open_box():
     g = build_grid(100)
     rng = np.random.default_rng(3)
     vals = np.clip(rng.uniform(0.02, 0.98, g.n), 0.02, 0.98)
-    out = step_implicit_entropy(DensityField(vals, g), MODEL_C, 5e-3)
+    out = step_implicit_entropy(DensityField(vals, g), discretize(MODEL_C, g), 5e-3)
     assert out.values.min() > 0.0 and out.values.max() < 1.0
 
 
 def test_implicit_step_requires_open_box():
     g = build_grid(10)
     with pytest.raises(InvalidInitialError):
-        step_implicit_entropy(constant_field(g, 1.0), MODEL_C, 1e-3)
+        step_implicit_entropy(constant_field(g, 1.0), discretize(MODEL_C, g), 1e-3)
 
 
 def test_implicit_step_rejects_linear_models():
     g = build_grid(10)
     with pytest.raises(InvalidModelError):
-        step_implicit_entropy(constant_field(g, 0.5), MODEL_B, 1e-3)
+        step_implicit_entropy(constant_field(g, 0.5), discretize(MODEL_B, g), 1e-3)
 
 
 def test_implicit_entropy_dissipation_per_step():
     # discrete analogue of the entropy inequality: E(new) + dt D <= E(old)
     # with D the flux dissipation plus the sign-definite reaction part
     g = build_grid(200)
-    ref = stationary_closed(MODEL_C, g)
+    d = discretize(MODEL_C, g)
+    ref = stationary_closed(d)
     f = build_initial(InitialSpec("parabola"), g, MODEL_C)
     state = DensityField(np.clip(f.values, 0.01, 0.99), g)
     dt = 1e-3
@@ -221,7 +226,7 @@ def test_implicit_entropy_dissipation_per_step():
     vol[0] = vol[-1] = 0.5 * g.dx
     e_prev = entropy("two-species", state, ref.field)
     for _ in range(25):
-        state = step_implicit_entropy(state, MODEL_C, dt, NewtonConfig())
+        state = step_implicit_entropy(state, d, dt, NewtonConfig())
         e_new = entropy("two-species", state, ref.field)
         r = state.values
         u = np.log(r / (1.0 - r)) - g.nodes
@@ -368,7 +373,7 @@ def test_implicit_residual_returns_arrays_no_later_call_overwrites():
 def test_run_zero_time_returns_initial_only():
     g = build_grid(50)
     f = build_initial(InitialSpec("affine"), g, MODEL_A)
-    traj = run_transient(MODEL_A, f, SolverConfig(dt=1e-5, t_end=0.0))
+    traj = run_transient(discretize(MODEL_A, g), f, SolverConfig(dt=1e-5, t_end=0.0))
     assert traj.times.size == 1 and traj.times[0] == 0.0
     assert np.array_equal(traj.final.values, f.values)
 
@@ -377,14 +382,14 @@ def test_run_rejects_unstable_dt():
     g = build_grid(50)
     f = build_initial(InitialSpec("affine"), g, MODEL_A)
     with pytest.raises(StabilityError):
-        run_transient(MODEL_A, f, SolverConfig(dt=1e-2, t_end=0.1))
+        run_transient(discretize(MODEL_A, g), f, SolverConfig(dt=1e-2, t_end=0.1))
 
 
 def test_run_mass_balance_telescopes_across_samples():
     g = build_grid(100)
     f = build_initial(InitialSpec("affine", a=-0.1, b=1.2), g, MODEL_A)
     cfg = SolverConfig(dt=2e-5, t_end=0.002, observe_every=1)
-    traj = run_transient(MODEL_A, f, cfg)
+    traj = run_transient(discretize(MODEL_A, g), f, cfg)
     gaps = np.diff(traj.mass) - cfg.dt * (
         MODEL_A.alpha - MODEL_A.beta * traj.outflow_density[:-1]
     )
@@ -395,7 +400,7 @@ def test_run_observer_layout_and_snapshots():
     g = build_grid(50)
     f = build_initial(InitialSpec("affine"), g, MODEL_A)
     cfg = SolverConfig(dt=1e-5, t_end=0.001, observe_every=20)
-    traj = run_transient(MODEL_A, f, cfg, snapshot_times=[0.0, 0.0005, 0.001])
+    traj = run_transient(discretize(MODEL_A, g), f, cfg, snapshot_times=[0.0, 0.0005, 0.001])
     assert np.all(np.diff(traj.times) > 0.0)
     assert traj.times.size == 6  # steps 0, 20, 40, 60, 80, 100
     assert [t for t, _ in traj.snapshots] == [0.0, 0.0005, 0.001]
@@ -408,7 +413,9 @@ def test_run_snapshot_beyond_end_rejected():
     g = build_grid(50)
     f = build_initial(InitialSpec("affine"), g, MODEL_A)
     with pytest.raises(ConfigError):
-        run_transient(MODEL_A, f, SolverConfig(dt=1e-5, t_end=0.001), snapshot_times=[0.01])
+        run_transient(
+            discretize(MODEL_A, g), f, SolverConfig(dt=1e-5, t_end=0.001), snapshot_times=[0.01]
+        )
 
 
 def test_solver_config_validation():
@@ -418,6 +425,8 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ConfigError):
         SolverConfig(dt=1e-5, t_end=-1.0)
+    with pytest.raises(ConfigError):  # t_end / dt overflows to inf
+        SolverConfig(dt=1e-320, t_end=6.0)
     with pytest.raises(ConfigError):
         SolverConfig(dt=1e-5, t_end=1.0, observe_every=0)
     with pytest.raises(ConfigError):
@@ -428,14 +437,12 @@ def test_positivity_and_box_at_exact_stability_bound():
     # the invariants are stated for every dt up to the bound itself
     g = build_grid(200)
     f = build_initial(InitialSpec("mass2"), g, MODEL_A)
-    traj = run_transient(
-        MODEL_A, f, SolverConfig(dt=discretize(MODEL_A, g).max_dt, t_end=0.05, observe_every=1000)
-    )
+    d = discretize(MODEL_A, g)
+    traj = run_transient(d, f, SolverConfig(dt=d.max_dt, t_end=0.05, observe_every=1000))
     assert traj.min_value >= -1e-12
     fc = build_initial(InitialSpec("parabola"), g, MODEL_C)
-    trajc = run_transient(
-        MODEL_C, fc, SolverConfig(dt=discretize(MODEL_C, g).max_dt, t_end=0.05, observe_every=1000)
-    )
+    dc = discretize(MODEL_C, g)
+    trajc = run_transient(dc, fc, SolverConfig(dt=dc.max_dt, t_end=0.05, observe_every=1000))
     assert trajc.min_value >= -1e-12 and trajc.max_value <= 1.0 + 1e-12
 
 
@@ -443,7 +450,7 @@ def test_run_keep_fields():
     g = build_grid(50)
     f = build_initial(InitialSpec("affine"), g, MODEL_A)
     cfg = SolverConfig(dt=1e-5, t_end=0.0005, observe_every=10)
-    traj = run_transient(MODEL_A, f, cfg, keep_fields=True)
+    traj = run_transient(discretize(MODEL_A, g), f, cfg, keep_fields=True)
     assert len(traj.sampled_fields) == traj.times.size
 
 
@@ -451,8 +458,9 @@ def test_implicit_run_matches_stationary_long_time():
     g = build_grid(100)
     f = build_initial(InitialSpec("parabola"), g, MODEL_C)
     cfg = SolverConfig(dt=0.02, t_end=12.0, observe_every=10, scheme="implicit-entropy")
-    traj = run_transient(MODEL_C, f, cfg)
-    ref = stationary_closed(MODEL_C, g)
+    d = discretize(MODEL_C, g)
+    traj = run_transient(d, f, cfg)
+    ref = stationary_closed(d)
     assert np.max(np.abs(traj.final.values - ref.field.values)) < 5e-4
     assert np.all(np.diff(traj.entropy) <= 1e-12)
 
@@ -467,7 +475,7 @@ def test_implicit_run_failure_carries_time():
         newton=NewtonConfig(max_iter=1, tolerance=1e-14, max_backtracks=1),
     )
     with pytest.raises(StepFailureError) as excinfo:
-        run_transient(MODEL_C, f, cfg)
+        run_transient(discretize(MODEL_C, g), f, cfg)
     assert excinfo.value.time == pytest.approx(5.0)
     assert excinfo.value.residual > 0.0
 
@@ -489,10 +497,10 @@ EXTREMUM_OFF_THE_STRIDE = {
 def test_model_c_extrema_range_over_unsampled_steps(shape, scheme, dt, t_end, stride):
     g = build_grid(40)
     f = DensityField(EXTREMUM_OFF_THE_STRIDE[shape](g.nodes), g)
+    d = discretize(MODEL_C, g)
     # step by step: the run observed at every step keeps every state
     every = run_transient(
-        MODEL_C, f, SolverConfig(dt=dt, t_end=t_end, observe_every=1, scheme=scheme),
-        keep_fields=True,
+        d, f, SolverConfig(dt=dt, t_end=t_end, observe_every=1, scheme=scheme), keep_fields=True,
     )
     states = np.array([field.values for field in every.sampled_fields])
     assert len(states) == every.steps + 1
@@ -500,7 +508,7 @@ def test_model_c_extrema_range_over_unsampled_steps(shape, scheme, dt, t_end, st
     sampled = np.vstack([states[::stride], states[-1:]])
     assert (lo, hi) != (sampled.min(), sampled.max())  # the samples alone miss one
     traj = run_transient(
-        MODEL_C, f, SolverConfig(dt=dt, t_end=t_end, observe_every=stride, scheme=scheme)
+        d, f, SolverConfig(dt=dt, t_end=t_end, observe_every=stride, scheme=scheme)
     )
     assert np.array_equal(traj.final.values, every.final.values)
     assert (traj.min_value, traj.max_value) == (lo, hi)
@@ -524,13 +532,13 @@ def test_implicit_run_guards_the_extrema_against_non_finite_states(monkeypatch):
     monkeypatch.setattr(_ImplicitStepper, "solve", poisoned)
     config = SolverConfig(dt=1e-2, t_end=0.05, observe_every=1, scheme="implicit-entropy")
     with pytest.raises(DivergenceError, match="non-finite"):
-        run_transient(MODEL_C, f, config)
+        run_transient(discretize(MODEL_C, g), f, config)
 
 
 def test_residual_stationary_of_numeric_solution():
-    g = build_grid(200)
-    sol = stationary_numeric(MODEL_A, g)
-    assert residual_stationary(sol.field.values[None], discretize(MODEL_A, g))[0] < 1e-10
+    d = discretize(MODEL_A, build_grid(200))
+    sol = stationary_numeric(d)
+    assert residual_stationary(sol.field.values[None], d)[0] < 1e-10
 
 
 def test_transient_order_of_accuracy():
@@ -539,10 +547,11 @@ def test_transient_order_of_accuracy():
     errs = []
     for n, dt in ((50, 1e-4), (100, 2.5e-5)):
         g = build_grid(n)
-        closed = stationary_closed(MODEL_A, g)
+        d = discretize(MODEL_A, g)
+        closed = stationary_closed(d)
         init = DensityField(closed.field.values.copy(), g)
         cfg = SolverConfig(dt=dt, t_end=2.0, observe_every=10**9)
-        traj = run_transient(MODEL_A, init, cfg, reference=closed)
+        traj = run_transient(d, init, cfg, reference=closed)
         errs.append(np.max(np.abs(traj.final.values - closed.field.values)))
     assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -560,14 +569,15 @@ def test_propagator_matches_stepping(name, stride):
     config = preset_config(name)
     model, grid = config.model_spec(), config.grid()
     initial = build_initial(config.initial_spec(), grid, model)
-    dt = config.resolve_dt(model, grid)
+    d = discretize(model, grid)
+    dt = config.resolve_dt(d)
     snap_time = 0.0037  # step 740, on no observer stride
     traj = run_transient(
-        model, initial, SolverConfig(dt=dt, t_end=0.01, observe_every=stride),
+        d, initial, SolverConfig(dt=dt, t_end=0.01, observe_every=stride),
         snapshot_times=[snap_time], keep_fields=True,
     )
     # reference: the explicit stepper applied one step at a time
-    stepper = _ExplicitStepper(discretize(model, grid))
+    stepper = _ExplicitStepper(d)
     rho = initial.values.copy()
     steps = int(round(0.01 / dt))
     sampled, fields = [0], [rho.copy()]
@@ -617,7 +627,7 @@ def test_divergence_reported_at_the_step_it_happens(monkeypatch):
     monkeypatch.setattr(_ExplicitStepper, "step", poisoned)
     dt = 1e-4
     with pytest.raises(DivergenceError) as excinfo:
-        run_transient(MODEL_C, f, SolverConfig(dt=dt, t_end=0.2, observe_every=1000))
+        run_transient(discretize(MODEL_C, g), f, SolverConfig(dt=dt, t_end=0.2, observe_every=1000))
     assert excinfo.value.step == 3
     assert excinfo.value.time == 3 * dt
 
@@ -634,5 +644,7 @@ def test_divergence_reported_at_jump_endpoint(monkeypatch):
 
     monkeypatch.setattr(_ExplicitStepper, "affine_matrix", poisoned)
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as excinfo:
-        run_transient(MODEL_A, f, SolverConfig(dt=1e-4, t_end=0.2, observe_every=300))
+        run_transient(
+            discretize(MODEL_A, g), f, SolverConfig(dt=1e-4, t_end=0.2, observe_every=300)
+        )
     assert excinfo.value.step == 300

@@ -15,10 +15,12 @@ the largest relative change of each column (CSV) or numeric field (JSON):
 
 The set: the nine presets cut to t_end 0.02 at observer strides 1, 7 and
 1000 (presets with snapshots take them at 0, 0.005 and 0.02); entropy-C on
-the implicit scheme at dt 1e-3 and strides 1 and 3; the mass evolution of
-mass1 and mass2 at stride 1; a three-member gamma sweep. Only the public
-``run``, ``mass_evolution`` and ``gamma_sweep`` are used. Lines read
-``<sha256>  <path>``, paths relative to the output directory.
+the implicit scheme at dt 1e-3 and strides 1 and 3; entropy-A, -B and -C
+on the tabulated potential V = sin(3x) at n 200, t_end 0.02 and stride 7;
+the mass evolution of mass1 and mass2 at stride 1; a three-member gamma
+sweep. Only the public ``run``, ``mass_evolution`` and ``gamma_sweep`` are
+used. Lines read ``<sha256>  <path>``, paths relative to the output
+directory.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ def write_all(root: Path) -> None:
     for stride in (1, 3):
         implicit = dict(scheme="implicit-entropy", dt=1e-3, t_end=0.05, observe_every=stride)
         run(preset_config("entropy-C", implicit), out_dir=str(root / f"implicit-C-{stride}"))
+    sine = {"kind": "tabulated", "values": [math.sin(3.0 * i / 199) for i in range(200)]}
+    tabulated = dict(SHORT, n=200, observe_every=7, potential=sine)
+    for name in ("entropy-A", "entropy-B", "entropy-C"):
+        run(preset_config(name, tabulated), out_dir=str(root / f"tabulated-{name}"))
     for name in ("mass1", "mass2"):
         mass_evolution(name, out_dir=str(root / f"evolution-{name}"),
                        overrides=dict(SHORT, observe_every=1))
