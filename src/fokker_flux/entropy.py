@@ -176,12 +176,15 @@ def predicted_rate(
       K1 = max{1, phi(L, min rho_inf)}, L = max(sup rho_inf, sup rho0),
     * model C: alpha * min{1, inf (1 - rho_inf) / rho_inf}.
 
-    Model B needs ``rho0`` for L.
+    Model B needs ``rho0`` for L. ``rho_inf`` and ``rho0`` must lie on
+    ``d.grid`` (ShapeError otherwise), for every model.
     """
     model = d.model
+    ref = DensityField(rho_inf.values, d.grid).values
+    if rho0 is not None:
+        rho0 = DensityField(rho0.values, d.grid)
     if model.model == "A":
         return RatePrediction(symmetric_k(model.beta).rate, "spectral")
-    ref = rho_inf.values
     if model.model == "B":
         if rho0 is None:
             raise UndefinedConstantError(

@@ -246,6 +246,16 @@ class _ExplicitStepper:
         ``step(e_j) - c``, read off :meth:`step` itself, so model B's Lie
         splitting of transport and reaction is reproduced as stepped.
 
+        Four steps give all of ``T`` (Curtis, Powell & Reid 1974): the zero
+        field, and the three combs with ones at the nodes ``j = r (mod 3)``.
+        Node i of a step reads only nodes i-1, i and i+1 (the reaction is
+        pointwise, the outflow face at x = 1 reads only the last node), so
+        ``T`` is tridiagonal, and row i of ``step(comb_r) - c`` is entry
+        ``(i, j)`` of the one tooth j in {i-1, i, i+1}: teeth 3 apart never
+        reach the same row. That entry is computed from the same three
+        inputs as in ``step(e_j)``, so ``T`` is the column-by-column matrix
+        bit for bit, zeros off the band included.
+
         Raises StabilityError unless ``T >= 0`` entrywise (up to roundoff)
         and ``c >= 0``: with that certificate every iterate of nonnegative
         data is nonnegative.
@@ -254,12 +264,16 @@ class _ExplicitStepper:
         out = np.zeros((n + 1, n + 1))
         c = np.zeros(n)
         self.step(c, dt)
-        column = np.empty(n)
-        for j in range(n):
-            column.fill(0.0)
-            column[j] = 1.0
-            self.step(column, dt)
-            np.subtract(column, c, out=out[:n, j])
+        rows = np.arange(n)
+        comb = np.empty(n)
+        for r in range(3):
+            comb.fill(0.0)
+            comb[r::3] = 1.0
+            self.step(comb, dt)
+            comb -= c
+            cols = rows + (r + 1 - rows) % 3 - 1  # the tooth each row reads
+            inside = (cols >= 0) & (cols < n)  # rows 0 and n-1 may read none
+            out[rows[inside], cols[inside]] = comb[inside]
         out[:n, n] = c
         out[n, n] = 1.0
         T = out[:n, :n]
@@ -586,12 +600,13 @@ def run_transient(
 
     Observers (model-appropriate relative entropy, trapezoid and
     node-average mass, L1 distance, steady residual) are computed against
-    ``reference`` (the numeric stationary solution when omitted) at step 0,
-    every ``observe_every`` steps, and at the final step. Snapshots are
-    taken at the steps nearest the requested times; ``keep_fields``
-    additionally retains the field at every observer sample. Step errors
-    propagate with the failing time attached; a non-finite value raises
-    DivergenceError with the step and time at which it was first seen.
+    ``reference`` (on ``d.grid``, else ShapeError; the numeric stationary
+    solution when omitted) at step 0, every ``observe_every`` steps, and at
+    the final step. Snapshots are taken at the steps nearest the requested
+    times; ``keep_fields`` additionally retains the field at every observer
+    sample. Step errors propagate with the failing time attached; a
+    non-finite value raises DivergenceError with the step and time at which
+    it was first seen.
 
     The observers run once per block of ``OBSERVER_BLOCK`` samples (and
     once for the last, partial one), each on all rows at once. A series too
@@ -647,7 +662,7 @@ def run_transient(
             f"observe_every={stride}; raise observe_every or dt"
         ) from err
     snapshots, sampled_fields = [], []
-    ref_field = reference.field
+    ref_field = DensityField(reference.field.values, grid)  # ShapeError off the grid
     done = 0  # samples evaluated
 
     def observe(rows) -> None:

@@ -19,6 +19,7 @@ from fokker_flux import (
     discretize,
     execute,
     flux_field,
+    predicted_rate,
     preset_config,
     run_transient,
     stationary_numeric,
@@ -108,6 +109,32 @@ def test_a_field_on_another_grid_is_a_shape_error(call, n):
     grid = build_grid(n)
     with pytest.raises(ShapeError):
         call(DensityField(np.full(n, 0.5), grid), ON_40_NODES)
+
+
+@pytest.mark.parametrize("n", [39, 41])
+@pytest.mark.parametrize(
+    "model_name, scheme", [("A", "explicit"), ("C", "explicit"), ("C", "implicit-entropy")]
+)
+def test_a_reference_on_another_grid_is_a_shape_error(model_name, scheme, n):
+    d = discretize(ModelSpec(model_name, 1.0, 0.9, LINEAR), build_grid(40))
+    initial = DensityField(np.full(40, 0.5), d.grid)
+    reference = stationary_numeric(discretize(d.model, build_grid(n)))
+    config = SolverConfig(dt=1e-4, t_end=1e-3, scheme=scheme)
+    with pytest.raises(ShapeError, match=rf"needs shape \(40,\), got \({n},\)"):
+        run_transient(d, initial, config, reference=reference)
+
+
+@pytest.mark.parametrize("n", [39, 41])
+@pytest.mark.parametrize("model_name", ["A", "B", "C"])
+def test_rate_prediction_fields_on_another_grid_are_a_shape_error(model_name, n):
+    d = discretize(ModelSpec(model_name, 1.0, 0.9, LINEAR), build_grid(40))
+    on_grid = DensityField(np.full(40, 0.5), d.grid)
+    off_grid = DensityField(np.full(n, 0.5), build_grid(n))
+    with pytest.raises(ShapeError):
+        predicted_rate(d, off_grid, rho0=on_grid)
+    with pytest.raises(ShapeError):
+        predicted_rate(d, on_grid, rho0=off_grid)
+    predicted_rate(d, on_grid, rho0=on_grid)  # both on the grid
 
 
 def parent_flux_field(values, model, grid):

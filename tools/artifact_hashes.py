@@ -17,7 +17,10 @@ The set: the nine presets cut to t_end 0.02 at observer strides 1, 7 and
 1000 (presets with snapshots take them at 0, 0.005 and 0.02); entropy-C on
 the implicit scheme at dt 1e-3 and strides 1 and 3; entropy-A, -B and -C
 on the tabulated potential V = sin(3x) at n 200, t_end 0.02 and stride 7;
-the mass evolution of mass1 and mass2 at stride 1; a three-member gamma
+entropy-A and -B on the coarsest grids, n 3, 4 and 5, at t_end 0.02 and
+stride 7 (the step matrix of models A and B is read off three combs of
+ones at every third node, and these grids have the fewest); the mass
+evolution of mass1 and mass2 at stride 1; a three-member gamma
 sweep. Only the public ``run``, ``mass_evolution`` and ``gamma_sweep`` are
 used. Lines read ``<sha256>  <path>``, paths relative to the output
 directory.
@@ -53,6 +56,10 @@ def write_all(root: Path) -> None:
     tabulated = dict(SHORT, n=200, observe_every=7, potential=sine)
     for name in ("entropy-A", "entropy-B", "entropy-C"):
         run(preset_config(name, tabulated), out_dir=str(root / f"tabulated-{name}"))
+    for name in ("entropy-A", "entropy-B"):
+        for n in (3, 4, 5):
+            coarse = dict(SHORT, n=n, observe_every=7)
+            run(preset_config(name, coarse), out_dir=str(root / f"coarse-{name}-{n}"))
     for name in ("mass1", "mass2"):
         mass_evolution(name, out_dir=str(root / f"evolution-{name}"),
                        overrides=dict(SHORT, observe_every=1))
