@@ -128,11 +128,13 @@ class Trajectory:
 
 _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 
-# Rows of the block of sampled states the observers evaluate at once: at
-# n = 200 one row is 1.6 kB, the block 102 kB. Models A and B compute their
-# samples in the block (a power of two: the first block doubles up to it,
-# see _strided_blocks); model C copies each sample in. 128 rows ran no
-# faster and raised the peak memory of an explicit-A benchmark round by 0.9 MB.
+# Rows of the block of states a scheme hands the run loop at once: at n = 200
+# one row is 1.6 kB, the block 102 kB. Models A and B compute their samples
+# in the block (a power of two: the first block doubles up to it, see
+# _strided_blocks) and add the snapshots and the final step off the stride;
+# model C copies in the state of each sample, snapshot and final step. 128
+# rows ran no faster and raised the peak memory of an explicit-A benchmark
+# round by 0.9 MB.
 OBSERVER_BLOCK = 64
 
 # The implicit scheme holds a dense Jacobian inverse (8 n^2 bytes) for its
@@ -381,7 +383,7 @@ class _ImplicitStepper:
         # never overwrites the kept iterate
         self.z, self.ez, self.scaled = (np.empty(n) for _ in range(3))
         self.s, self.du, self.flux = (np.empty(n - 1) for _ in range(3))
-        self.solves = 0
+        self.solves = self.most_solves = 0  # most_solves: the most in one step of a run
         self.chord = n <= CHORD_MAX_N
         self.inverse = self.inverse_dt = None
         self.chord_iterations = 0
@@ -587,6 +589,107 @@ def step_implicit_entropy(
     return DensityField(stepper.step(vals, dt), d.grid)
 
 
+def _propagated(rho: FloatArray, stepper: _ExplicitStepper, dt: float, stride: int, events):
+    """Models A and B: the states at step 0, every ``stride`` steps and the
+    ``events`` (increasing steps, the last one final), a block of
+    ``OBSERVER_BLOCK`` samples at a time, with the extrema of the states so far.
+
+    The samples on the stride come from :func:`_strided_blocks`. An event
+    off the stride is advanced from the sample before it
+    (:meth:`_ExplicitStepper.jump_matrices`) and follows it in its block.
+    """
+    strided = events[-1] // stride + 1  # samples on the stride, step 0 included
+    jumps = {k % stride for k in events} - {0}  # events off the stride
+    if strided > 1:
+        jumps.add(stride)
+    try:
+        powers = stepper.jump_matrices(dt, jumps) if jumps else {}
+    except MemoryError as err:
+        raise ConfigError(
+            f"cannot allocate the dense {rho.size + 1}x{rho.size + 1} step matrix of the "
+            f"propagator at n={rho.size}; lower n"
+        ) from err
+    first, lo, hi = 0, math.inf, -math.inf  # first: sample index of the block's first row
+    for block in _strided_blocks(rho, powers.get(stride), strided):
+        end = first + len(block)
+        off = [k for k in events if k % stride and first <= k // stride < end]
+        at = [k // stride - first + 1 for k in off]  # each directly after its base sample
+        ks = np.arange(first, end) * stride
+        if off:
+            jumped = [powers[k % stride] @ block[j - 1] for k, j in zip(off, at)]
+            ks, block = np.insert(ks, at, off), np.insert(block, at, jumped, axis=0)
+        rows = block[:, :-1]
+        # the new extremum first: min(nan, lo) is nan, but min(lo, nan) is lo
+        lo, hi = min(float(rows.min()), lo), max(float(rows.max()), hi)
+        yield ks, rows, lo, hi
+        first = end
+
+
+def _event_steps(stride: int, events):
+    """Step 0, the multiples of ``stride`` below the last of ``events`` and
+    ``events`` (increasing steps) in order, each once."""
+    k = 0  # the next multiple of stride
+    for event in events:
+        while k < event:
+            yield k
+            k += stride
+        yield event
+        if k == event:
+            k += stride
+
+
+def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
+    """Model C from event to event: the states at step 0, every ``stride``
+    steps and the ``events`` (increasing steps, the last one final),
+    ``OBSERVER_BLOCK`` at a time, with the extrema of every state so far.
+
+    The explicit scheme checks each state's min and max and hands over its
+    first non-finite state at once. The implicit one keeps the elementwise
+    extrema of its states and reduces them once per block; each Newton
+    solve starts from the extrapolation of the last accepted entropy
+    variables, cubic from step 4 on (:func:`_extrapolate`), and up to
+    ``n = CHORD_MAX_N`` takes chord iterations with a held Jacobian inverse
+    first (:meth:`_ImplicitStepper._newton`).
+    """
+    steps, implicit = events[-1], isinstance(stepper, _ImplicitStepper)
+    block = np.empty((OBSERVER_BLOCK, rho.size))
+    ks, k = [], 0
+    lo, hi = float(rho.min()), float(rho.max())
+    if implicit:
+        history = deque([stepper.entropy_variable(rho)], maxlen=4)  # u^0, u^1, ..
+        start = np.empty((2, rho.size))  # the cubic start and its work array
+        low, high = rho.copy(), rho.copy()
+    for event in _event_steps(stride, events):
+        while k < event and math.isfinite(lo) and math.isfinite(hi):
+            k += 1
+            if not implicit:
+                stepper.step(rho, dt)
+                lo, hi = min(float(rho.min()), lo), max(float(rho.max()), hi)  # as in _propagated
+                continue
+            solves = stepper.solves
+            guess = _extrapolate(history, start) if k > 1 else None
+            try:
+                rho, u = stepper.solve(rho, dt, guess)
+            except StepFailureError as err:
+                raise StepFailureError(
+                    f"implicit step failed at t={k * dt:.6g}: {err}",
+                    residual=err.residual,
+                    time=k * dt,
+                ) from err
+            stepper.most_solves = max(stepper.most_solves, stepper.solves - solves)
+            history.append(u.copy() if u is guess else u)  # start is rewritten
+            np.minimum(low, rho, out=low)
+            np.maximum(high, rho, out=high)
+        block[len(ks)] = rho
+        ks.append(k)
+        if k == event < steps and len(ks) < len(block):  # not final, full or non-finite
+            continue
+        if implicit:  # the running extrema, reduced once per block
+            lo, hi = float(np.minimum.reduce(low)), float(np.maximum.reduce(high))
+        yield np.array(ks), block[: len(ks)], lo, hi
+        ks = []
+
+
 def run_transient(
     d: Discretization,
     initial: DensityField,
@@ -605,45 +708,32 @@ def run_transient(
     the final step. Snapshots are taken at the steps nearest the requested
     times; ``keep_fields`` additionally retains the field at every observer
     sample. Step errors propagate with the failing time attached; a
-    non-finite value raises DivergenceError with the step and time at which
-    it was first seen.
+    non-finite value raises DivergenceError at the step of the first
+    non-finite state the scheme hands over.
 
-    The observers run once per block of ``OBSERVER_BLOCK`` samples (and
-    once for the last, partial one), each on all rows at once. A series too
-    long to allocate is a ConfigError, and so is a step matrix too large to
+    Each scheme hands over the states of its events (samples, snapshots and
+    the final step) in blocks of about ``OBSERVER_BLOCK``, with the extrema
+    of the states it has computed: models A and B on the explicit scheme
+    with powers of the affine step matrix (:func:`_propagated`), model C
+    step by step (:func:`_stepped`), on one BLAS thread. Each observer runs
+    once per block, on all its samples at once. A series too long to
+    allocate is a ConfigError, and so is a step matrix too large to
     allocate.
-
-    Models A and B on the explicit scheme do not step one by one: their
-    samples on the stride are computed a block at a time with powers of the
-    affine step matrix (:func:`_strided_blocks`), checked for extrema and
-    finiteness and observed in place, a block at once. A snapshot or final
-    step off the stride is advanced from the sample before it
-    (:meth:`_ExplicitStepper.jump_matrices`). Model C steps, copying each
-    sample into a block; on the implicit scheme each Newton solve starts
-    from the extrapolation of the last accepted entropy variables, cubic
-    from step 4 on (:func:`_extrapolate`), and up to ``n = CHORD_MAX_N``
-    takes chord iterations with a held Jacobian inverse before any Newton
-    iteration (:meth:`_ImplicitStepper._newton`), on one BLAS thread. The
-    implicit scheme keeps the elementwise extrema of its states and reduces
-    them once per block; the explicit one checks each state's min and max.
     """
     model, grid = d.model, d.grid
-    DensityField(initial.values, grid).validate_for_model(
-        model, strict_box=config.scheme == "implicit-entropy"
-    )
+    implicit = config.scheme == "implicit-entropy"
+    DensityField(initial.values, grid).validate_for_model(model, strict_box=implicit)
     if reference is None:
         reference = stationary_numeric(d)
     kind = default_kind(model)
 
     dt = config.dt
     steps = int(round(config.t_end / dt))
-    if config.scheme == "explicit":
-        _check_cfl(d, dt)
-        explicit = _ExplicitStepper(d)
-        implicit = None
+    if implicit:
+        stepper = _ImplicitStepper(d, config.newton)
     else:
-        explicit = None
-        implicit = _ImplicitStepper(d, config.newton)
+        _check_cfl(d, dt)
+        stepper = _ExplicitStepper(d)
 
     snap_lookup: dict[int, float] = {}
     for t_req in snapshot_times:
@@ -665,134 +755,38 @@ def run_transient(
     ref_field = DensityField(reference.field.values, grid)  # ShapeError off the grid
     done = 0  # samples evaluated
 
-    def observe(rows) -> None:
-        """Every observer on ``rows``, the next sampled states in order."""
-        nonlocal done
-        if not len(rows):
-            return
-        span = slice(done, done + len(rows))
-        ent[span] = entropy(kind, rows, ref_field)
-        mass_tz[span] = trapezoid(rows, grid.dx)
-        mass_na[span] = node_average(rows)
-        l1s[span] = l1_distance(rows, ref_field)
-        resid[span] = residual_stationary(rows, d)
-        outflow[span] = rows[:, -1]
-        if keep_fields:
-            sampled_fields.extend(DensityField(row.copy(), grid) for row in rows)
-        done += len(rows)
-
-    def diverged(step_index: int) -> DivergenceError:
-        t = step_index * dt
-        return DivergenceError(
-            f"non-finite values at step {step_index}, t={t:.6g}", step=step_index, time=t
-        )
-
-    min_value, max_value = float(rho.min()), float(rho.max())
-    newton_max = 0
-    if explicit is not None and not model.crowded:
-        strided = steps // stride + 1  # samples on the stride, step 0 included
-        events = sorted({*snap_lookup, steps})  # snapshots and the final step
-        jumps = {k % stride for k in events} - {0}  # events off the stride
-        if strided > 1:
-            jumps.add(stride)
-        # small dense products: more BLAS threads only wait for each other (blas.py)
-        with serial_blas():
-            try:
-                powers = explicit.jump_matrices(dt, jumps) if jumps else {}
-            except MemoryError as err:
-                raise ConfigError(
-                    f"cannot allocate the dense {grid.n + 1}x{grid.n + 1} step matrix of the "
-                    f"propagator at n={grid.n}; lower n"
-                ) from err
-            first = 0  # sample index of the block's first row
-            for rows in _strided_blocks(rho, powers.get(stride), strided):
-                end, states = first + len(rows), rows[:, :-1]
-                times[first:end] = np.arange(first, end) * stride * dt
-                lo, hi = float(states.min()), float(states.max())
-                reach = end  # samples before the first non-finite one
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    reach = first + int(np.argmin(np.isfinite(rows).all(axis=1)))
-                while events and events[0] // stride < reach:
-                    k = events.pop(0)
-                    j = k // stride - first
-                    rho = rows[j, :-1]
-                    if k % stride:  # off the stride: advanced from the sample before it
-                        rho = (powers[k % stride] @ rows[j])[:-1]
-                        if not np.isfinite(rho).all():
-                            observe(states[: j + 1])
-                            raise diverged(k)
-                        min_value = min(min_value, float(rho.min()))
-                        max_value = max(max_value, float(rho.max()))
-                    if k in snap_lookup:
-                        snapshots.append((snap_lookup[k], DensityField(rho.copy(), grid)))
-                if reach < end:
-                    observe(states[: reach - first])
-                    raise diverged(reach * stride)
-                min_value, max_value = min(min_value, lo), max(max_value, hi)
-                observe(states)
-                first = end
-            if steps % stride:
-                times[-1] = steps * dt
-                observe(rho[None])
-    else:
-        # the implicit scheme's chord products with the held inverse are small
-        # dense ones: one BLAS thread, as for the propagator (blas.py)
-        with serial_blas():
-            block = np.empty((min(OBSERVER_BLOCK, count), grid.n))
-            pending = 0  # samples waiting in the block
-            if implicit is not None:
-                history = deque([implicit.entropy_variable(rho)], maxlen=4)  # u^0, u^1, ..
-                start = np.empty((2, grid.n))  # the cubic start and its work array
-                # elementwise extrema of the steps so far, reduced once per block
-                low, high = rho.copy(), rho.copy()
-
-                def fold_extrema(k: int) -> None:
-                    """Reduce the running extrema at step ``k``. An accepted Newton
-                    state is finite, so a non-finite extremum is only a guard."""
-                    nonlocal min_value, max_value
-                    min_value = float(np.minimum.reduce(low))
-                    max_value = float(np.maximum.reduce(high))
-                    if not (math.isfinite(min_value) and math.isfinite(max_value)):
-                        raise diverged(k)
-
-            for k in range(steps + 1):
-                if implicit is None:
-                    if k:
-                        explicit.step(rho, dt)
-                    lo, hi = float(rho.min()), float(rho.max())
-                    if not (math.isfinite(lo) and math.isfinite(hi)):
-                        observe(block[:pending])  # an observer error of an earlier sample comes first
-                        raise diverged(k)
-                    min_value, max_value = min(min_value, lo), max(max_value, hi)
-                elif k:
-                    solves = implicit.solves
-                    guess = _extrapolate(history, start) if k > 1 else None
-                    try:
-                        rho, u = implicit.solve(rho, dt, guess)
-                    except StepFailureError as err:
-                        raise StepFailureError(
-                            f"implicit step failed at t={k * dt:.6g}: {err}",
-                            residual=err.residual,
-                            time=k * dt,
-                        ) from err
-                    newton_max = max(newton_max, implicit.solves - solves)
-                    history.append(u.copy() if u is guess else u)  # start is rewritten
-                    np.minimum(low, rho, out=low)
-                    np.maximum(high, rho, out=high)
+    generate = _stepped if implicit or model.crowded else _propagated
+    # small dense products (the propagator, the implicit scheme's chord
+    # iterations): more BLAS threads only wait for each other (blas.py)
+    with serial_blas():
+        for ks, rows, lo, hi in generate(rho, stepper, dt, stride, sorted({*snap_lookup, steps})):
+            sampled = (ks % stride == 0) | (ks == steps)
+            bad = len(ks)  # the first row with a non-finite value
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                # the last row when no earlier one is non-finite, even if it is finite
+                bad = int(np.argmin(np.append(np.isfinite(rows[:-1]).all(axis=1), False)))
+                sampled[bad:] = False
+            states = rows[sampled]
+            if len(states):  # an observer error of an earlier sample comes first
+                span = slice(done, done + len(states))
+                times[span] = ks[sampled] * dt
+                ent[span] = entropy(kind, states, ref_field)
+                mass_tz[span] = trapezoid(states, grid.dx)
+                mass_na[span] = node_average(states)
+                l1s[span] = l1_distance(states, ref_field)
+                resid[span] = residual_stationary(states, d)
+                outflow[span] = states[:, -1]
+                if keep_fields:
+                    sampled_fields.extend(DensityField(row, grid) for row in states)
+                done += len(states)
+            if bad < len(ks):
+                k = int(ks[bad])
+                raise DivergenceError(
+                    f"non-finite values at step {k}, t={k * dt:.6g}", step=k, time=k * dt
+                )
+            for i, k in enumerate(ks.tolist()):
                 if k in snap_lookup:
-                    snapshots.append((snap_lookup[k], DensityField(rho.copy(), grid)))
-                if k % stride == 0 or k == steps:
-                    times[done + pending] = k * dt
-                    block[pending] = rho
-                    pending += 1
-                    if pending == len(block):
-                        if implicit is not None:
-                            fold_extrema(k)
-                        observe(block)
-                        pending = 0
-            if implicit is not None:
-                fold_extrema(steps)
-            observe(block[:pending])
+                    snapshots.append((snap_lookup[k], DensityField(rows[i].copy(), grid)))
 
     for series in (times, ent, mass_tz, mass_na, l1s, resid, outflow):
         series.setflags(write=False)
@@ -806,14 +800,14 @@ def run_transient(
         outflow_density=outflow,
         snapshots=tuple(snapshots),
         sampled_fields=tuple(sampled_fields),
-        final=DensityField(rho.copy(), grid),
+        final=DensityField(rows[-1].copy(), grid),
         reference=reference,
         entropy_kind=kind,
-        min_value=min_value,
-        max_value=max_value,
+        min_value=lo,
+        max_value=hi,
         steps=steps,
         dt=dt,
-        newton_iterations=0 if implicit is None else implicit.solves,
-        newton_max_per_step=newton_max,
-        chord_iterations=0 if implicit is None else implicit.chord_iterations,
+        newton_iterations=stepper.solves if implicit else 0,
+        newton_max_per_step=stepper.most_solves if implicit else 0,
+        chord_iterations=stepper.chord_iterations if implicit else 0,
     )

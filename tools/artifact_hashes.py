@@ -15,7 +15,10 @@ the largest relative change of each column (CSV) or numeric field (JSON):
 
 The set: the nine presets cut to t_end 0.02 at observer strides 1, 7 and
 1000 (presets with snapshots take them at 0, 0.005 and 0.02); entropy-C on
-the implicit scheme at dt 1e-3 and strides 1 and 3; entropy-A, -B and -C
+the implicit scheme at dt 1e-3 and strides 1 and 3, and evolution-C on it
+at stride 3 with those snapshots; evolution-A at stride 7 with snapshots
+at 0, 0.0049, 0.005 and 0.02 (several events off the stride in one
+observer block); entropy-A, -B and -C
 on the tabulated potential V = sin(3x) at n 200, t_end 0.02 and stride 7;
 entropy-A and -B on the coarsest grids, n 3, 4 and 5, at t_end 0.02 and
 stride 7 (the step matrix of models A and B is read off three combs of
@@ -52,6 +55,11 @@ def write_all(root: Path) -> None:
     for stride in (1, 3):
         implicit = dict(scheme="implicit-entropy", dt=1e-3, t_end=0.05, observe_every=stride)
         run(preset_config("entropy-C", implicit), out_dir=str(root / f"implicit-C-{stride}"))
+    implicit = dict(SHORT, scheme="implicit-entropy", dt=1e-3, observe_every=3,
+                    snapshot_times=SNAPSHOTS)
+    run(preset_config("evolution-C", implicit), out_dir=str(root / "implicit-evolution-C"))
+    events = dict(SHORT, observe_every=7, snapshot_times=[0.0, 0.0049, 0.005, 0.02])
+    run(preset_config("evolution-A", events), out_dir=str(root / "events-evolution-A"))
     sine = {"kind": "tabulated", "values": [math.sin(3.0 * i / 199) for i in range(200)]}
     tabulated = dict(SHORT, n=200, observe_every=7, potential=sine)
     for name in ("entropy-A", "entropy-B", "entropy-C"):
