@@ -5,8 +5,10 @@
     fokker-flux sweep --config cfg.json --gamma 0,0.25,0.5,0.75,1 [--out DIR]
     fokker-flux eigen --beta 1.0 [--weights 0.5,0.5]
 
-Exit codes: 0 success, 2 configuration errors (a time step above the
-stability or positivity bound included), 3 solver errors, 4 I/O errors.
+Exit codes: 0 success, 2 input errors, 3 solver errors, 4 I/O errors.
+Every input error is a ConfigError: a bad configuration field, grid,
+model, potential or initial datum, and a time step above the stability
+or positivity bound.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ import json
 import math
 import sys
 
-from .errors import (
-    ConfigError,
-    FokkerFluxError,
-    InvalidGridError,
-    InvalidInitialError,
-    InvalidModelError,
-    ShapeError,
-    StabilityError,
-)
+from .errors import ConfigError, FokkerFluxError
 from .experiments import (
     PRESETS,
     config_from_dict,
@@ -179,10 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        ConfigError, InvalidGridError, InvalidInitialError, InvalidModelError, ShapeError,
-        StabilityError,
-    ) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FokkerFluxError as exc:

@@ -85,7 +85,10 @@ def build_grid(n: int) -> Grid:
         raise InvalidGridError(f"node count must be an integer, got {n!r}")
     if n < 3:
         raise InvalidGridError(f"grid needs at least 3 nodes, got n={n}")
-    nodes = np.arange(n, dtype=np.float64) / (n - 1)
+    try:
+        nodes = np.arange(n, dtype=np.float64) / (n - 1)
+    except (MemoryError, ValueError) as err:  # more nodes than memory or than numpy indexes
+        raise InvalidGridError(f"cannot allocate a grid of n={n} nodes; lower n") from err
     return Grid(n=int(n), dx=1.0 / (n - 1), nodes=_readonly(nodes))
 
 
@@ -140,9 +143,8 @@ def eval_potential(spec: PotentialSpec, grid: Grid) -> tuple[FloatArray, FloatAr
     xf = grid.faces
     if spec.kind == "tabulated":
         vals = spec.values
-        if vals is None or vals.shape != (grid.n,):
-            got = None if vals is None else vals.shape
-            raise ShapeError(f"tabulated potential needs shape ({grid.n},), got {got}")
+        if vals.shape != (grid.n,):
+            raise ShapeError(f"tabulated potential needs shape ({grid.n},), got {vals.shape}")
         nodes = vals
         faces = 0.5 * (vals[:-1] + vals[1:])
         face_slope = (vals[1:] - vals[:-1]) / grid.dx
@@ -305,6 +307,7 @@ class InitialSpec:
 
 
 def _sample_initial(spec: InitialSpec, x: FloatArray) -> FloatArray:
+    """The closed-form kinds; InitialSpec has rejected any other."""
     if spec.kind == "affine":
         return spec.a * x + spec.b
     if spec.kind == "parabola":
@@ -312,9 +315,7 @@ def _sample_initial(spec: InitialSpec, x: FloatArray) -> FloatArray:
     if spec.kind == "mass1":
         ramp = 1.9 * (0.5 * np.cos(4.0 * np.pi * x) + 0.5)
         return np.where(x < 0.5, 1.9, np.where(x <= 0.75, ramp, 0.0))
-    if spec.kind == "mass2":
-        return np.where(x < 0.9, 0.0, 3000.0 * (x - 0.9) ** 2)
-    raise InvalidInitialError(f"cannot sample kind {spec.kind!r}")
+    return np.where(x < 0.9, 0.0, 3000.0 * (x - 0.9) ** 2)  # mass2
 
 
 def build_initial(spec: InitialSpec, grid: Grid, model: ModelSpec) -> DensityField:
@@ -324,11 +325,7 @@ def build_initial(spec: InitialSpec, grid: Grid, model: ModelSpec) -> DensityFie
     nonnegative values. Violations raise with the offending node named.
     """
     if spec.kind == "tabulated":
-        vals = spec.values
-        if vals is None or vals.shape != (grid.n,):
-            got = None if vals is None else vals.shape
-            raise ShapeError(f"tabulated initial needs shape ({grid.n},), got {got}")
-        field_ = DensityField(vals.copy(), grid)
+        field_ = DensityField(spec.values.copy(), grid)  # ShapeError off the grid
     else:
         field_ = DensityField(_sample_initial(spec, grid.nodes), grid)
     field_.validate_for_model(model, strict_box=model.model == "C")

@@ -5,23 +5,28 @@ class FokkerFluxError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidGridError(FokkerFluxError):
+class ConfigError(FokkerFluxError):
+    """Input failed validation: a run configuration, or one of the values it
+    builds. The CLI exits 2 on it and on every subclass."""
+
+
+class InvalidGridError(ConfigError):
     """Grid construction parameters are invalid."""
 
 
-class ShapeError(FokkerFluxError):
+class ShapeError(ConfigError):
     """Tabulated data does not match the grid."""
 
 
-class InvalidModelError(FokkerFluxError):
+class InvalidModelError(ConfigError):
     """Model parameters violate the standing assumptions."""
 
 
-class InvalidInitialError(FokkerFluxError):
+class InvalidInitialError(ConfigError):
     """Initial data violates the model's positivity/box constraint."""
 
 
-class StabilityError(FokkerFluxError):
+class StabilityError(ConfigError):
     """Explicit time step exceeds the stability bound."""
 
 
@@ -69,7 +74,3 @@ class RootNotFoundError(FokkerFluxError):
 
 class IterationError(FokkerFluxError):
     """An iterative solver stagnated before reaching its tolerance."""
-
-
-class ConfigError(FokkerFluxError):
-    """Run configuration failed validation."""

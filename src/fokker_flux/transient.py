@@ -30,7 +30,6 @@ from .entropy import default_kind, entropy, l1_distance
 from .errors import (
     ConfigError,
     DivergenceError,
-    InvalidInitialError,
     InvalidModelError,
     IterationError,
     StabilityError,
@@ -47,6 +46,11 @@ class NewtonConfig:
     max_iter: int = 50
     tolerance: float = 1e-10
     max_backtracks: int = 8
+
+
+# step indices are int64 (``np.arange(first, end) * stride``): the step
+# count and the stride stay below this
+_STEP_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,15 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"time step must be positive, got {self.dt}")
-        if not 0.0 <= self.t_end / self.dt < math.inf:  # a finite step count
+        if not 0.0 <= self.t_end / self.dt < _STEP_LIMIT:
             raise ConfigError(
-                f"final time must be nonnegative and t_end / dt finite, got "
+                f"final time must be nonnegative and t_end / dt finite and below 2**63, got "
                 f"t_end={self.t_end}, dt={self.dt}"
             )
-        if self.observe_every < 1:
-            raise ConfigError("observer stride must be at least 1")
+        if not 1 <= self.observe_every < _STEP_LIMIT:
+            raise ConfigError(
+                f"observer stride must be at least 1 and below 2**63, got {self.observe_every}"
+            )
         if self.scheme not in ("explicit", "implicit-entropy"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
 
@@ -582,11 +588,10 @@ def step_implicit_entropy(
     The previous state must lie on ``d.grid`` and strictly inside (0, 1);
     the returned state does so by construction.
     """
-    vals = DensityField(rho.values, d.grid).values
-    if np.any(vals <= 0.0) or np.any(vals >= 1.0):
-        raise InvalidInitialError("implicit scheme needs the state strictly inside (0, 1)")
+    field_ = DensityField(rho.values, d.grid)
+    field_.validate_for_model(d.model, strict_box=True)
     stepper = _ImplicitStepper(d, newton or NewtonConfig())
-    return DensityField(stepper.step(vals, dt), d.grid)
+    return DensityField(stepper.step(field_.values, dt), d.grid)
 
 
 def _propagated(rho: FloatArray, stepper: _ExplicitStepper, dt: float, stride: int, events):

@@ -42,6 +42,12 @@ def test_grid_rejects_degenerate():
         build_grid(0)
 
 
+def test_grid_too_large_to_allocate_is_a_grid_error():
+    # numpy refuses 2**62 float64 nodes before it allocates anything
+    with pytest.raises(InvalidGridError, match=r"cannot allocate a grid of n=4611686018427387904"):
+        build_grid(2**62)
+
+
 @pytest.mark.parametrize("n", [3, 5, 17, 100, 199, 200, 201, 513, 1000])
 def test_grid_uniformity(n):
     # exact-zero spacing deviation is not representable for general n in

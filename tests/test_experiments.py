@@ -8,6 +8,11 @@ import pytest
 from fokker_flux import (
     ConfigError,
     FitError,
+    InvalidGridError,
+    InvalidInitialError,
+    InvalidModelError,
+    ShapeError,
+    StabilityError,
     config_from_dict,
     discretize,
     execute,
@@ -92,6 +97,45 @@ def test_config_rejects_bad_emit_and_scheme():
             config_from_dict(dict(TINY, emit=emit))
     with pytest.raises(ConfigError, match="implicit-entropy"):
         config_from_dict(dict(TINY, scheme="implicit-entropy"))
+
+
+def test_config_tabulated_potential_needs_its_values():
+    # the bare kind names no values: rejected at parse, not as non-finite values later
+    with pytest.raises(ConfigError, match="tabulated potential needs a nonempty 'values' list"):
+        config_from_dict(dict(TINY, potential="tabulated"))
+
+
+def test_config_outputs_must_be_a_string():
+    with pytest.raises(ConfigError, match="outputs must be a directory name"):
+        config_from_dict(dict(TINY, outputs=["a"]))
+
+
+def test_config_builds_the_objects_that_check_its_values():
+    # each value is checked once, by the object built from it, before the parser returns
+    cases = [
+        (dict(TINY, model="D"), InvalidModelError, "model must be one of"),
+        (dict(TINY, alpha=math.inf), InvalidModelError, "alpha >= alpha_0 > 0"),
+        (dict(TINY, potential={"kind": "quartic"}), InvalidModelError, "unknown potential kind"),
+        (dict(TINY, potential="scaled-linear", gamma=math.nan), InvalidModelError, "finite"),
+        (dict(TINY, initial="bump"), InvalidInitialError, "unknown initial kind"),
+        (dict(TINY, initial={"kind": "tabulated", "values": [1.0] * 59}), ShapeError,
+         r"needs shape \(60,\), got \(59,\)"),
+        (dict(TINY, model="C"), InvalidInitialError, "box"),  # the affine default reaches 1.2
+        (dict(TINY, n=2), InvalidGridError, "at least 3 nodes"),
+        (dict(TINY, n=2**62), InvalidGridError, "cannot allocate"),
+        (dict(TINY, dt=0.0), ConfigError, "time step must be positive"),
+        (dict(TINY, t_end=-1.0, snapshot_times=[]), ConfigError, "final time"),
+        (dict(TINY, observe_every=0), ConfigError, "observer stride"),
+        (dict(TINY, observe_every=2**63), ConfigError, r"below 2\*\*63"),
+        (dict(TINY, scheme="magic"), ConfigError, "unknown scheme"),
+    ]
+    for data, error, message in cases:
+        with pytest.raises(error, match=message):
+            config_from_dict(data)
+    # with dt "auto" the time-step checks wait for the stability bound, in execute
+    cfg = config_from_dict(dict(TINY, dt="auto", observe_every=0))
+    with pytest.raises(ConfigError, match="observer stride"):
+        execute(cfg)
 
 
 def test_config_auto_dt_resolves_to_half_bound():
@@ -420,6 +464,33 @@ def test_cli_step_count_overflow_exits_2(tmp_path, capsys):
     assert code == 2
     assert "t_end / dt finite" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_every_input_error_is_a_config_error():
+    for error in (InvalidGridError, ShapeError, InvalidModelError, InvalidInitialError,
+                  StabilityError):
+        assert issubclass(error, ConfigError)
+    assert not issubclass(FitError, ConfigError)
+
+
+def test_cli_step_indices_past_int64_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    code = main(["preset", "entropy-A", "--out", out, "--set", f"observe_every={2**63}"])
+    assert code == 2
+    assert "observer stride must be at least 1 and below 2**63" in capsys.readouterr().err
+    code = main(["preset", "entropy-A", "--out", out, "--set", "dt=1e-19", "--set", "t_end=1"])
+    assert code == 2
+    assert "t_end / dt finite and below 2**63" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    code = main(["preset", "entropy-A", "--out", out, "--set", "n=60", "--set", "dt=5e-5",
+                 "--set", "t_end=0.01", "--set", f"observe_every={2**63 - 1}"])
+    assert code == 0
+
+
+def test_cli_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    code = main(["preset", "entropy-A", "--out", str(tmp_path / "x"), "--set", f"n={2**62}"])
+    assert code == 2
+    assert "cannot allocate a grid of n=4611686018427387904 nodes" in capsys.readouterr().err
 
 
 def test_cli_unallocatable_propagator_exits_2(tmp_path, capsys, monkeypatch):

@@ -433,6 +433,17 @@ def test_solver_config_validation():
         SolverConfig(dt=1e-5, t_end=1.0, scheme="magic")
 
 
+def test_solver_config_keeps_step_indices_within_int64():
+    from fokker_flux import ConfigError
+
+    with pytest.raises(ConfigError, match=r"below 2\*\*63"):
+        SolverConfig(dt=1e-5, t_end=1.0, observe_every=2**63)
+    with pytest.raises(ConfigError, match=r"below 2\*\*63"):
+        SolverConfig(dt=1.0, t_end=2.0**63)  # a finite step count past int64
+    SolverConfig(dt=1e-5, t_end=1.0, observe_every=2**63 - 1)
+    SolverConfig(dt=1.0, t_end=2.0**63 - 1024)  # the largest double below 2**63
+
+
 def test_positivity_and_box_at_exact_stability_bound():
     # the invariants are stated for every dt up to the bound itself
     g = build_grid(200)
