@@ -7,8 +7,9 @@
 
 Exit codes: 0 success, 2 input errors, 3 solver errors, 4 I/O errors.
 Every input error is a ConfigError: a bad configuration field, grid,
-model, potential or initial datum, and a time step above the stability
-or positivity bound.
+model, potential or initial datum, a time step above the stability or
+positivity bound, and rates whose stationary density leaves double
+precision.
 """
 
 from __future__ import annotations

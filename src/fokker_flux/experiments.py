@@ -22,8 +22,8 @@ import numpy as np
 
 from .blas import serial_blas
 from .domain import (
+    DensityField,
     Discretization,
-    Grid,
     InitialSpec,
     ModelSpec,
     PotentialSpec,
@@ -56,50 +56,17 @@ CSV_ROWS = 1024
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; ``raw`` echoes the exact input mapping."""
+    """A parsed run: its one Discretization, its initial field and its
+    SolverConfig (``dt: "auto"`` resolved); ``raw`` echoes the exact input
+    mapping."""
 
-    model: str
-    alpha: float
-    beta: float
-    gamma: float = 1.0
-    potential: str = "linear"
-    potential_values: Optional[tuple] = None
-    initial: dict = dataclass_field(default_factory=lambda: {"kind": "affine", "a": -0.1, "b": 1.2})
-    n: int = 200
-    dt: object = "auto"  # float or the string "auto" (half the stability bound)
-    t_end: float = 1.0
+    d: Discretization
+    initial: DensityField
+    solver: SolverConfig
     snapshot_times: tuple = ()
-    observe_every: int = 1000
-    scheme: str = "explicit"
     outputs: str = "out"
     emit: tuple = DEFAULT_EMIT
     raw: dict = dataclass_field(default_factory=dict)
-
-    def potential_spec(self) -> PotentialSpec:
-        if self.potential == "tabulated":
-            return PotentialSpec("tabulated", values=np.asarray(self.potential_values))
-        if self.potential == "scaled-linear":
-            return PotentialSpec("scaled-linear", gamma=self.gamma)
-        return PotentialSpec(self.potential)
-
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(self.model, self.alpha, self.beta, self.potential_spec())
-
-    def grid(self) -> Grid:
-        return build_grid(self.n)
-
-    def initial_spec(self) -> InitialSpec:
-        d = self.initial
-        kind = d["kind"]
-        if kind == "affine":
-            return InitialSpec("affine", a=float(d.get("a", -0.1)), b=float(d.get("b", 1.2)))
-        if kind == "tabulated":
-            return InitialSpec("tabulated", values=np.asarray(d["values"], dtype=float))
-        return InitialSpec(kind)
-
-    def resolve_dt(self, d: Discretization) -> float:
-        """The time step on ``d``: ``"auto"`` is half its stability bound."""
-        return 0.5 * d.max_dt if self.dt == "auto" else float(self.dt)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -120,13 +87,14 @@ def _is_list_of(values, test) -> bool:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Read a JSON mapping into a RunConfig (raises ConfigError).
+    """Read a JSON mapping into the run it describes (raises ConfigError).
 
     The parser checks what needs the mapping itself: the fields, their JSON
     types and the choices between fields. The values are checked by the
     objects built from them (ModelSpec, PotentialSpec, InitialSpec, the
-    grid, the initial field and, when dt is a number, SolverConfig), which
-    the parser builds before it returns.
+    grid, the initial field, the Discretization and the SolverConfig, with
+    ``dt: "auto"`` resolved to half the stability bound), which the run
+    keeps: ``execute`` builds none of them again.
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -151,26 +119,28 @@ def config_from_dict(data: dict) -> RunConfig:
     pot = data.get("potential", "linear")
     table = pot.get("values") if isinstance(pot, dict) else None
     pot = pot.get("kind") if isinstance(pot, dict) else pot
-    pot_values = None
     if pot == "tabulated":
         _require(_is_list_of(table, _is_number) and len(table) > 0,
                  "tabulated potential needs a nonempty 'values' list of numbers")
-        pot_values = tuple(float(v) for v in table)
     _require(pot == "scaled-linear" or gamma == 1.0 or "gamma" not in data,
              "gamma applies to the scaled-linear potential; set potential accordingly")
 
-    initial = data.get("initial", {"kind": "affine", "a": -0.1, "b": 1.2})
+    initial = data.get("initial", {"kind": "affine"})
     if isinstance(initial, str):
         initial = {"kind": initial}
     _require(isinstance(initial, dict) and "kind" in initial, "initial needs a 'kind'")
+    initial_args = {}
     if initial["kind"] == "affine":
         for key in ("a", "b"):
-            value = initial.get(key, -0.1 if key == "a" else 1.2)
-            _require(_is_number(value), f"affine initial coefficient {key!r} must be a number")
+            if key in initial:
+                _require(_is_number(initial[key]),
+                         f"affine initial coefficient {key!r} must be a number")
+                initial_args[key] = float(initial[key])
     if initial["kind"] == "tabulated":
         vals = initial.get("values")
         _require(_is_list_of(vals, _is_number) and len(vals) > 0,
                  "tabulated initial needs a nonempty 'values' list of numbers")
+        initial_args["values"] = vals
 
     dt = data.get("dt", "auto")
     if dt != "auto":
@@ -200,17 +170,21 @@ def config_from_dict(data: dict) -> RunConfig:
     bad = [e for e in emit if e not in EMIT_CHOICES]
     _require(not bad, f"unknown emit entries {bad}; choose from {EMIT_CHOICES}")
 
-    config = RunConfig(
-        model=model, alpha=alpha, beta=beta, gamma=gamma,
-        potential=pot, potential_values=pot_values, initial=dict(initial),
-        n=data.get("n", 200), dt=dt, t_end=t_end, snapshot_times=tuple(float(t) for t in snaps),
-        observe_every=observe, scheme=scheme, outputs=outputs, emit=emit, raw=dict(data),
+    # each object checks its own values
+    spec = InitialSpec(initial["kind"], **initial_args)
+    grid = build_grid(data.get("n", 200))
+    table = [float(v) for v in table] if pot == "tabulated" else None
+    model = ModelSpec(model, alpha, beta, PotentialSpec(pot, gamma=gamma, values=table))
+    rho0 = build_initial(spec, grid, model)
+    d = discretize(model, grid)
+    solver = SolverConfig(
+        dt=0.5 * d.max_dt if dt == "auto" else dt,
+        t_end=t_end, observe_every=observe, scheme=scheme,
     )
-    # each object checks its own values; the potential is evaluated in execute
-    build_initial(config.initial_spec(), config.grid(), config.model_spec())
-    if dt != "auto":
-        SolverConfig(dt=dt, t_end=t_end, observe_every=observe, scheme=scheme)
-    return config
+    return RunConfig(
+        d, rho0, solver, snapshot_times=tuple(float(t) for t in snaps),
+        outputs=outputs, emit=emit, raw=dict(data),
+    )
 
 
 @dataclass(frozen=True)
@@ -272,28 +246,21 @@ def summary_json_dict(summary: RunSummary) -> dict:
 def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, Trajectory]:
     """Run a configuration without touching the filesystem.
 
-    The potential is evaluated once: the run's one :class:`Discretization`
-    is passed to every step.
+    The run starts from the configuration's Discretization, initial field
+    and SolverConfig, so the potential is evaluated once, at parse.
     """
     started = time.perf_counter()
-    model = config.model_spec()
-    grid = config.grid()
-    initial = build_initial(config.initial_spec(), grid, model)
-    d = discretize(model, grid)
-    dt = config.resolve_dt(d)
-    solver = SolverConfig(
-        dt=dt, t_end=config.t_end, observe_every=config.observe_every, scheme=config.scheme
-    )
+    d, model = config.d, config.d.model
     reference = stationary_numeric(d)
     trajectory = run_transient(
         d,
-        initial,
-        solver,
+        config.initial,
+        config.solver,
         reference=reference,
         snapshot_times=config.snapshot_times,
         keep_fields=keep_fields,
     )
-    prediction = predicted_rate(d, reference.field, rho0=initial)
+    prediction = predicted_rate(d, reference.field, rho0=config.initial)
     fit: Optional[RateReport] = None
     try:
         window = default_fit_window(trajectory.times, trajectory.entropy)
@@ -317,13 +284,13 @@ def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, T
         final_sup_distance=float(
             np.max(np.abs(trajectory.final.values - reference.field.values))
         ),
-        final_mass=trapezoid(trajectory.final.values, grid.dx),
+        final_mass=trapezoid(trajectory.final.values, d.grid.dx),
         final_mass_node_average=node_average(trajectory.final.values),
-        stationary_mass_closed=trapezoid(closed.field.values, grid.dx),
-        stationary_mass_numeric=trapezoid(reference.field.values, grid.dx),
+        stationary_mass_closed=trapezoid(closed.field.values, d.grid.dx),
+        stationary_mass_numeric=trapezoid(reference.field.values, d.grid.dx),
         eigen=eigen,
         steps=trajectory.steps,
-        dt=dt,
+        dt=config.solver.dt,
         min_value=trajectory.min_value,
         max_value=trajectory.max_value,
         config=dict(config.raw),
@@ -632,7 +599,7 @@ def gamma_sweep(
     merge order is deterministic. If a member fails, the completed rows are
     flushed to sweep.csv before the failure is re-raised.
     """
-    if base.model != "A":
+    if base.d.model.model != "A":
         raise ConfigError("the drift sweep is defined for model A")
     gs = [float(g) for g in gammas]
     if not gs:

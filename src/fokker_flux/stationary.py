@@ -43,6 +43,19 @@ def _cumulative_exp_neg(d: Discretization) -> FloatArray:
 
 
 def _solution(d: Discretization, values: FloatArray, method: str) -> StationarySolution:
+    """The solution, checked to lie where the relative entropies against it
+    are defined: finite and positive at every node, and below 1 for model C
+    (rates past double precision leave it)."""
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if d.model.crowded:
+        bad |= values >= 1.0
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        box = " and below 1" if d.model.crowded else ""
+        raise InvalidModelError(
+            f"stationary density must be finite, positive{box}; node {i} is {values[i]} "
+            f"(alpha={d.model.alpha}, beta={d.model.beta})"
+        )
     residual = float(np.max(np.abs(nodal_residual(d, values))))
     return StationarySolution(DensityField(values, d.grid), method, d.model, residual)
 

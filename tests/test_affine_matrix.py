@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fokker_flux import StabilityError, discretize, preset_config
+from fokker_flux import StabilityError, preset_config
 from fokker_flux.transient import _ROUNDOFF, _ExplicitStepper
 
 SIZES = [3, 4, 5, 6, 7, 200]
@@ -53,14 +53,14 @@ CASES = [
 
 # At the stability bound the model-A matrices on the gamma-0 and tabulated
 # potentials break the certificate, so both outcomes are compared.
-DT = {"preset": lambda config, d: config.resolve_dt(d),
+DT = {"preset": lambda config, d: config.solver.dt,
       "auto": lambda config, d: 0.5 * d.max_dt,
       "bound": lambda config, d: d.max_dt}
 
 
 @pytest.mark.parametrize("config, dt", CASES)
 def test_comb_matrix_is_the_column_by_column_matrix(config, dt):
-    d = discretize(config.model_spec(), config.grid())
+    d = config.d
     step = DT[dt](config, d)
     oracle = column_by_column(_ExplicitStepper(d), step)
     T = oracle[:-1, :-1]
@@ -75,8 +75,7 @@ def test_comb_matrix_is_the_column_by_column_matrix(config, dt):
 @pytest.mark.parametrize("n", [*SIZES, 8, 9, 10, 100, 401])
 @pytest.mark.parametrize("name", ["entropy-A", "entropy-B"])
 def test_building_p_takes_four_steps(monkeypatch, name, n):
-    config = preset_config(name, {"n": n})
-    d = discretize(config.model_spec(), config.grid())
+    d = preset_config(name, {"n": n}).d
     calls = []
     original = _ExplicitStepper.step
 

@@ -35,11 +35,7 @@ def test_every_step_keeps_the_mass_balance(name, t_end):
     alpha, beta, dt = 1.0, 0.9, 1e-5
     config = preset_config(name, {"alpha": alpha, "beta": beta, "n": 200, "dt": dt,
                                   "t_end": t_end, "observe_every": 1})
-    model, grid = config.model_spec(), config.grid()
-    initial = build_initial(config.initial_spec(), grid, model)
-    traj = run_transient(
-        discretize(model, grid), initial, SolverConfig(dt=dt, t_end=t_end, observe_every=1)
-    )
+    traj = run_transient(config.d, config.initial, config.solver)
     assert traj.times.size == traj.steps + 1 > 100 * B
     balance = np.diff(traj.mass) - dt * (alpha - beta * traj.outflow_density[:-1])
     assert np.max(np.abs(balance)) <= 1e-13 * (1.0 + traj.max_value)

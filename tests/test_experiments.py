@@ -14,7 +14,6 @@ from fokker_flux import (
     ShapeError,
     StabilityError,
     config_from_dict,
-    discretize,
     execute,
     gamma_sweep,
     mass_evolution,
@@ -22,6 +21,7 @@ from fokker_flux import (
     run,
     stationary_closed,
 )
+import fokker_flux.experiments as experiments
 from fokker_flux.cli import main
 from fokker_flux.experiments import CSV_ROWS, _write_csv
 from fokker_flux.transient import _ExplicitStepper
@@ -74,7 +74,7 @@ def test_config_gamma_needs_scaled_potential():
     with pytest.raises(ConfigError, match="scaled-linear"):
         config_from_dict(dict(TINY, gamma=0.5))
     cfg = config_from_dict(dict(TINY, gamma=0.5, potential="scaled-linear"))
-    assert cfg.potential_spec().slope == 0.5
+    assert cfg.d.model.potential.slope == 0.5
 
 
 def test_config_validates_initial_payload():
@@ -86,7 +86,7 @@ def test_config_validates_initial_payload():
     with pytest.raises(ConfigError, match="coefficient"):
         config_from_dict(dict(TINY, initial={"kind": "affine", "a": "steep"}))
     cfg = config_from_dict(dict(TINY, initial={"kind": "tabulated", "values": [1.0] * 60}))
-    assert cfg.initial_spec().values.shape == (60,)
+    assert cfg.initial.values.shape == (60,)
 
 
 def test_config_rejects_bad_emit_and_scheme():
@@ -126,23 +126,18 @@ def test_config_builds_the_objects_that_check_its_values():
         (dict(TINY, dt=0.0), ConfigError, "time step must be positive"),
         (dict(TINY, t_end=-1.0, snapshot_times=[]), ConfigError, "final time"),
         (dict(TINY, observe_every=0), ConfigError, "observer stride"),
+        (dict(TINY, dt="auto", observe_every=0), ConfigError, "observer stride"),
         (dict(TINY, observe_every=2**63), ConfigError, r"below 2\*\*63"),
         (dict(TINY, scheme="magic"), ConfigError, "unknown scheme"),
     ]
     for data, error, message in cases:
         with pytest.raises(error, match=message):
             config_from_dict(data)
-    # with dt "auto" the time-step checks wait for the stability bound, in execute
-    cfg = config_from_dict(dict(TINY, dt="auto", observe_every=0))
-    with pytest.raises(ConfigError, match="observer stride"):
-        execute(cfg)
 
 
 def test_config_auto_dt_resolves_to_half_bound():
     cfg = config_from_dict(dict(TINY, dt="auto"))
-    model, grid = cfg.model_spec(), cfg.grid()
-    d = discretize(model, grid)
-    assert cfg.resolve_dt(d) == pytest.approx(0.5 * d.max_dt)
+    assert cfg.solver.dt == pytest.approx(0.5 * cfg.d.max_dt)
 
 
 # ------------------------------------------------------------- artifacts
@@ -186,6 +181,26 @@ def test_run_is_deterministic(tmp_path):
     for name in ("entropy.csv", "mass.csv", "snapshots.csv", "summary.json",
                  "density.svg", "entropy.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("entropy-A", {"dt": "auto"}),
+    ("evolution-C", {"snapshot_times": [0.0, 0.01]}),
+    ("entropy-C", {"scheme": "implicit-entropy", "dt": 1e-3}),
+    ("mass2", {}),
+])
+def test_a_run_builds_its_initial_field_once(name, overrides, monkeypatch):
+    # the parser builds the field and execute starts from it
+    built = []
+    build = experiments.build_initial
+
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(experiments, "build_initial", counted_build)
+    execute(preset_config(name, {"n": 40, "t_end": 0.01, **overrides}))
+    assert len(built) == 1
 
 
 def test_csv_full_precision_roundtrip(tmp_path):
@@ -251,14 +266,13 @@ def test_all_presets_produce_valid_configs():
 
     for name in PRESETS:
         cfg = preset_config(name)
-        cfg.model_spec()
-        cfg.grid()
-        cfg.initial_spec()
+        assert cfg.initial.grid is cfg.d.grid
 
 
 def test_preset_names_and_overrides():
     cfg = preset_config("entropy-A", {"n": 80, "dt": 5e-5, "t_end": 0.1})
-    assert cfg.model == "A" and cfg.alpha == 1.0 and cfg.beta == 1.0
+    model = cfg.d.model
+    assert model.model == "A" and model.alpha == 1.0 and model.beta == 1.0
     with pytest.raises(ConfigError):
         preset_config("nope")
 
@@ -266,9 +280,7 @@ def test_preset_names_and_overrides():
 def test_evolution_A_preset_reaches_equilibrium():
     # reference experiment: n = 200, dt = 5e-6, equilibrium by t = 9
     summary, trajectory = execute(preset_config("evolution-A"))
-    closed = stationary_closed(
-        discretize(preset_config("evolution-A").model_spec(), trajectory.final.grid)
-    )
+    closed = stationary_closed(preset_config("evolution-A").d)
     assert summary.final_sup_distance < 1e-3
     assert np.max(np.abs(trajectory.final.values - closed.field.values)) < 1e-3
     assert [t for t, _ in trajectory.snapshots] == [0.0, 0.05, 1.5, 9.0]
@@ -436,10 +448,23 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     assert "beta >= beta_0 > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, node", [
+    (dict(TINY, model="B", alpha=1e308), "node 0"),  # alpha/beta exp(V) overflows
+    (dict(TINY, model="C", alpha=2**62, initial="parabola"), "node 0 is 1.0"),  # rounds to 1
+], ids=["B-overflow", "C-rounds-to-1"])
+def test_cli_stationary_density_outside_the_entropy_domain_exits_2(tmp_path, capsys, data, node):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stationary density must be finite, positive" in err and node in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_dt_breaking_positivity_exits_2(tmp_path, capsys):
     # V' = 0 at dt = max_dt: within the stability bound, outside T >= 0
-    config = preset_config("entropy-A-gamma0")
-    limit = discretize(config.model_spec(), config.grid()).max_dt
+    limit = preset_config("entropy-A-gamma0").d.max_dt
     code = main(["preset", "entropy-A-gamma0", "--out", str(tmp_path / "x"),
                  "--set", f"dt={limit!r}", "--set", "t_end=0.001"])
     assert code == 2

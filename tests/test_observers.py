@@ -62,15 +62,10 @@ def run_preset(name, overrides, stride):
     config = preset_config(
         name, {"t_end": 0.002, "snapshot_times": [], "observe_every": stride, **overrides}
     )
-    model, grid = config.model_spec(), config.grid()
-    initial = build_initial(config.initial_spec(), grid, model)
-    d = discretize(model, grid)
-    solver = SolverConfig(
-        dt=config.resolve_dt(d), t_end=config.t_end,
-        observe_every=stride, scheme=config.scheme,
+    traj = run_transient(
+        config.d, config.initial, config.solver, snapshot_times=SNAP_TIMES, keep_fields=True
     )
-    traj = run_transient(d, initial, solver, snapshot_times=SNAP_TIMES, keep_fields=True)
-    return model, traj
+    return config.d.model, traj
 
 
 CASES = [(name, {}) for name in PRESETS] + [

@@ -32,6 +32,18 @@ def test_modelA_closed_matches_direct_integration():
     assert np.max(np.abs(sol.field.values - direct_integration_A(g.nodes, 1.0, 0.9))) < 1e-13
 
 
+@pytest.mark.parametrize("solve", [stationary_closed, stationary_numeric])
+@pytest.mark.parametrize("model, message", [
+    (ModelSpec("B", 1e308, 0.9, LINEAR), r"finite, positive; node \d+ is (inf|nan)"),
+    (ModelSpec("A", 1e308, 0.5, LINEAR), r"finite, positive; node \d+ is (inf|nan)"),
+    (ModelSpec("C", 2.0**62, 0.9, LINEAR), r"finite, positive and below 1; node 0 is 1\.0"),
+])
+def test_stationary_density_outside_the_entropy_domain_is_rejected(solve, model, message):
+    # rates past double precision: the density overflows, or rounds to 1 for model C
+    with np.errstate(all="ignore"), pytest.raises(InvalidModelError, match=message):
+        solve(discretize(model, build_grid(20)))
+
+
 def test_modelA_outflow_identity_exact():
     for beta in (0.5, 0.9, 1.0, 2.0):
         g = build_grid(101)

@@ -578,10 +578,7 @@ LINEAR_PRESETS = (
 @pytest.mark.parametrize("name", LINEAR_PRESETS)
 def test_propagator_matches_stepping(name, stride):
     config = preset_config(name)
-    model, grid = config.model_spec(), config.grid()
-    initial = build_initial(config.initial_spec(), grid, model)
-    d = discretize(model, grid)
-    dt = config.resolve_dt(d)
+    d, initial, dt = config.d, config.initial, config.solver.dt
     snap_time = 0.0037  # step 740, on no observer stride
     traj = run_transient(
         d, initial, SolverConfig(dt=dt, t_end=0.01, observe_every=stride),
@@ -613,9 +610,7 @@ def test_propagator_matches_stepping(name, stride):
 def test_positivity_certificate_rejects_gamma0_at_stability_bound():
     # V' = 0: the bound leaves out the outflow term of the half cell at x = 1,
     # so T[n-1, n-1] = -beta dx there
-    config = preset_config("entropy-A-gamma0", {"t_end": 0.001})
-    model, grid = config.model_spec(), config.grid()
-    limit = discretize(model, grid).max_dt
+    limit = preset_config("entropy-A-gamma0", {"t_end": 0.001}).d.max_dt
     with pytest.raises(StabilityError, match=r"T >= 0.*T\[199, 199\] = -5\.0"):
         execute(preset_config("entropy-A-gamma0", {"t_end": 0.001, "dt": limit}))
     summary, traj = execute(preset_config("entropy-A-gamma0", {"t_end": 0.001, "dt": "auto"}))

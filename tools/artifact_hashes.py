@@ -24,9 +24,13 @@ entropy-A and -B on the coarsest grids, n 3, 4 and 5, at t_end 0.02 and
 stride 7 (the step matrix of models A and B is read off three combs of
 ones at every third node, and these grids have the fewest); the mass
 evolution of mass1 and mass2 at stride 1; a three-member gamma
-sweep. Only the public ``run``, ``mass_evolution`` and ``gamma_sweep`` are
-used. Lines read ``<sha256>  <path>``, paths relative to the output
-directory.
+sweep. Then the parse paths, each at t_end 0.02 and stride 7: ``dt:
+"auto"`` (entropy-A, and evolution-C with those snapshots), a tabulated
+initial field (entropy-B at n 50), ``{"kind": "affine"}`` with no
+coefficients and with ``a`` only, ``potential: "zero"`` (all entropy-A) and
+entropy-A with no ``initial`` key. Only the public ``config_from_dict``,
+``run``, ``mass_evolution`` and ``gamma_sweep`` are used. Lines read
+``<sha256>  <path>``, paths relative to the output directory.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ SNAPSHOTS = [0.0, 0.005, 0.02]
 
 
 def write_all(root: Path) -> None:
-    from fokker_flux.experiments import PRESETS, gamma_sweep, mass_evolution, preset_config, run
+    from fokker_flux.experiments import (
+        PRESETS, config_from_dict, gamma_sweep, mass_evolution, preset_config, run,
+    )
 
     for name, preset in PRESETS.items():
         for stride in (1, 7, 1000):
@@ -73,6 +79,20 @@ def write_all(root: Path) -> None:
                        overrides=dict(SHORT, observe_every=1))
     base = preset_config("entropy-A", {"n": 60, "dt": 5e-5, "t_end": 1.0, "observe_every": 200})
     gamma_sweep(base, [0.0, 0.5, 1.0], out_dir=str(root / "sweep"))
+
+    parsed = dict(SHORT, observe_every=7)
+    run(preset_config("entropy-A", dict(parsed, dt="auto")), out_dir=str(root / "auto-dt-A"))
+    run(preset_config("evolution-C", dict(parsed, dt="auto", snapshot_times=SNAPSHOTS)),
+        out_dir=str(root / "auto-dt-evolution-C"))
+    table = {"kind": "tabulated", "values": [1.0 + 0.5 * math.cos(i / 7) for i in range(50)]}
+    run(preset_config("entropy-B", dict(parsed, n=50, initial=table)),
+        out_dir=str(root / "tabulated-initial-B"))
+    for label, change in (("affine-default", {"initial": {"kind": "affine"}}),
+                          ("affine-a", {"initial": {"kind": "affine", "a": 0.3}}),
+                          ("zero-potential", {"potential": "zero"})):
+        run(preset_config("entropy-A", dict(parsed, **change)), out_dir=str(root / label))
+    bare = {k: v for k, v in PRESETS["entropy-A"].items() if k != "initial"}
+    run(config_from_dict(dict(bare, **parsed)), out_dir=str(root / "no-initial"))
 
 
 def print_hashes(root: Path) -> None:
