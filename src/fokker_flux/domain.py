@@ -215,17 +215,37 @@ class Discretization:
 def discretize(model: ModelSpec, grid: Grid) -> Discretization:
     """Evaluate the model's potential on the grid and everything built from it.
 
-    ``max_dt`` is the explicit stability bound ``dx^2 / (2 + dx sup|V'|)``:
-    the drift contribution is evaluated from the face slopes; the reaction
-    terms only tighten the bound by O(dx^2) and are absorbed into it.
+    ``max_dt`` is the explicit stability bound ``dx^2 / (2 + dx sup|V'|)``
+    of the transport alone: diffusion and the drift, the latter evaluated
+    from the face slopes. It does not cover the reactions of models B and C
+    (rates up to ``beta e^{-V}`` and ``alpha + beta e^{-V}``): a rate far
+    above ``1 / max_dt`` needs a smaller step (model C at ``beta = 1e30``
+    diverges at ``max_dt / 2``).
+
+    A potential so steep that ``exp(V)`` or ``exp(-V)`` is not finite and
+    positive at a node or face raises InvalidModelError naming it.
     """
     v, v_faces, slope = eval_potential(model.potential, grid)
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        exp_neg_v, exp_v, exp_v_faces = np.exp(-v), np.exp(v), np.exp(v_faces)
+    for name, values, where in (
+        ("exp(-V)", exp_neg_v, "node {}"),
+        ("exp(V)", exp_v, "node {}"),
+        ("exp(V)", exp_v_faces, "the face after node {}"),
+    ):
+        bad = ~(np.isfinite(values) & (values > 0.0))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise InvalidModelError(
+                f"potential too steep: {name} is {values[i]} at {where.format(i)}; "
+                "exp(V) and exp(-V) must be finite and positive"
+            )
     max_dt = grid.dx**2 / (2.0 + grid.dx * float(np.max(np.abs(slope))))
     return Discretization(
         model, grid, v, v_faces, slope,
-        exp_neg_v=_readonly(np.exp(-v)),
-        exp_v=_readonly(np.exp(v)),
-        exp_v_faces=_readonly(np.exp(v_faces)),
+        exp_neg_v=_readonly(exp_neg_v),
+        exp_v=_readonly(exp_v),
+        exp_v_faces=_readonly(exp_v_faces),
         volumes=grid.volumes,
         max_dt=max_dt,
     )

@@ -29,14 +29,22 @@ def _clamped(values: FloatArray, *, box: bool) -> FloatArray:
     """Clamp roundoff undershoot (and overshoot of 1 with ``box``).
 
     ``values`` is one field or an ``(m, n)`` block of fields; larger
-    violations raise, naming a node of the first offending field.
+    violations raise, naming a node of the first offending field. The
+    extrema are checked first; the mask that names the node is built only
+    when they fail (or are NaN), and values already inside are returned as
+    they are.
     """
-    bad = values < -ROUNDOFF_GUARD
-    if box:
-        bad |= values > 1.0 + ROUNDOFF_GUARD
-    if np.any(bad):
-        first = int(np.argmax(np.atleast_2d(bad).any(axis=-1)))
-        _reject(np.atleast_2d(values)[first])
+    lo = values.min()
+    hi = values.max() if box else 0.0
+    if not (lo >= -ROUNDOFF_GUARD and hi <= 1.0 + ROUNDOFF_GUARD):
+        bad = values < -ROUNDOFF_GUARD
+        if box:
+            bad |= values > 1.0 + ROUNDOFF_GUARD
+        if np.any(bad):
+            first = int(np.argmax(np.atleast_2d(bad).any(axis=-1)))
+            _reject(np.atleast_2d(values)[first])
+    if lo >= 0.0 and hi <= 1.0:
+        return values
     return np.clip(values, 0.0, 1.0) if box else np.maximum(values, 0.0)
 
 
@@ -88,8 +96,11 @@ def entropy(kind: str, rho, rho_inf: DensityField):
         i = int(np.argmax(ref >= 1.0))
         raise EntropyDomainError(f"reference must stay below 1; node {i} is {ref[i]}")
     vals = _clamped(_values(rho), box=kind == "two-species")
-    if kind == "quadratic":
-        integrand = 0.5 * (vals - ref) ** 2 / ref
+    if kind == "quadratic":  # 0.5 (vals - ref)^2 / ref in one work array
+        integrand = np.subtract(vals, ref)
+        np.square(integrand, out=integrand)
+        integrand *= 0.5
+        integrand /= ref
     elif kind == "logarithmic":
         integrand = _xlogx_ratio(vals, ref) - (vals - ref)
     else:
@@ -99,7 +110,8 @@ def entropy(kind: str, rho, rho_inf: DensityField):
 
 def l1_distance(rho, rho_inf: DensityField):
     """Trapezoid integral of |rho - rho_inf|; ``rho`` as in :func:`entropy`."""
-    return trapezoid(np.abs(_values(rho) - rho_inf.values), rho_inf.grid.dx)
+    work = np.subtract(_values(rho), rho_inf.values)
+    return trapezoid(np.abs(work, out=work), rho_inf.grid.dx)
 
 
 def ck_constant(rho: DensityField, rho_inf: DensityField) -> float:

@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -299,6 +300,12 @@ def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, T
     return summary, trajectory
 
 
+def _rows(row: str, cells: Sequence[list]) -> str:
+    """``row`` filled in once per index of the equal-length lists ``cells``,
+    by one ``%`` over the format repeated."""
+    return row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
+
+
 def _write_csv(path: Path, header: str, columns: Sequence) -> None:
     """One row per index of the equal-length ``columns``, every value in full
     double precision with a '.' decimal separator."""
@@ -306,19 +313,41 @@ def _write_csv(path: Path, header: str, columns: Sequence) -> None:
     with path.open("w", encoding="utf-8") as out:
         out.write(header + "\n")
         for start in range(0, len(columns[0]), CSV_ROWS):
-            cells = zip(*(c[start:start + CSV_ROWS].tolist() for c in columns))
-            out.write("".join(row % values for values in cells))
+            out.write(_rows(row, [c[start:start + CSV_ROWS].tolist() for c in columns]))
+
+
+_ENTROPY_HEADER = "t,entropy,mass,l1,residual"
+_MASS_HEADER = "t,mass,node_average_mass"
 
 
 def _write_entropy_csv(path: Path, trajectory: Trajectory) -> None:
     tr = trajectory
-    columns = (tr.times, tr.entropy, tr.mass, tr.l1, tr.residual)
-    _write_csv(path, "t,entropy,mass,l1,residual", columns)
+    _write_csv(path, _ENTROPY_HEADER, (tr.times, tr.entropy, tr.mass, tr.l1, tr.residual))
 
 
 def _write_mass_csv(path: Path, trajectory: Trajectory) -> None:
     tr = trajectory
-    _write_csv(path, "t,mass,node_average_mass", (tr.times, tr.mass, tr.node_mass))
+    _write_csv(path, _MASS_HEADER, (tr.times, tr.mass, tr.node_mass))
+
+
+def _write_mass_and_entropy_csv(out: Path, trajectory: Trajectory) -> None:
+    """``mass.csv`` and ``entropy.csv`` in ``out``, the files the two writers
+    above write, ``CSV_ROWS`` rows at a time: the ``t`` and ``mass`` cells the
+    two share are formatted once."""
+    tr = trajectory
+    cell = "%.17g".__mod__
+    with (out / "mass.csv").open("w", encoding="utf-8") as mass, \
+            (out / "entropy.csv").open("w", encoding="utf-8") as ent:
+        mass.write(_MASS_HEADER + "\n")
+        ent.write(_ENTROPY_HEADER + "\n")
+        for start in range(0, len(tr.times), CSV_ROWS):
+            part = slice(start, start + CSV_ROWS)
+            t = list(map(cell, tr.times[part].tolist()))
+            m = list(map(cell, tr.mass[part].tolist()))
+            mass.write(_rows("%s,%s,%.17g\n", (t, m, tr.node_mass[part].tolist())))
+            ent.write(_rows("%s,%.17g,%s,%.17g,%.17g\n", (
+                t, tr.entropy[part].tolist(), m, tr.l1[part].tolist(), tr.residual[part].tolist()
+            )))
 
 
 def _write_snapshots_csv(path: Path, trajectory: Trajectory) -> None:
@@ -355,9 +384,11 @@ def run(config: RunConfig, out_dir: Optional[str] = None) -> RunSummary:
     summary, trajectory = execute(config)
     out = Path(out_dir if out_dir is not None else config.outputs)
     out.mkdir(parents=True, exist_ok=True)
-    if "entropy" in config.emit:
+    if "entropy" in config.emit and "mass" in config.emit:
+        _write_mass_and_entropy_csv(out, trajectory)
+    elif "entropy" in config.emit:
         _write_entropy_csv(out / "entropy.csv", trajectory)
-    if "mass" in config.emit:
+    elif "mass" in config.emit:
         _write_mass_csv(out / "mass.csv", trajectory)
     if "snapshots" in config.emit:
         _write_snapshots_csv(out / "snapshots.csv", trajectory)
@@ -535,8 +566,7 @@ def mass_evolution(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_mass_csv(out / "mass.csv", trajectory)
-        _write_entropy_csv(out / "entropy.csv", trajectory)
+        _write_mass_and_entropy_csv(out, trajectory)
         payload = summary_json_dict(summary)
         payload["mass_evolution"] = report.json_dict()
         (out / "summary.json").write_text(

@@ -141,25 +141,48 @@ def nodal_residual(d: Discretization, rho: FloatArray) -> FloatArray:
     second-order accurate.
     """
     model, dx = d.model, d.grid.dx
+    # every step below runs over whole contiguous (..., n) arrays: column j of
+    # ``flux`` holds the face j + 1/2 and the last column no face
     if model.model in ("A", "B"):
         u = rho * d.exp_neg_v
-        flux = -d.exp_v_faces * (u[..., 1:] - u[..., :-1]) / dx
+        flux = _neighbours(np.subtract, u)
+        flux *= np.append(-d.exp_v_faces, 0.0)
     else:
-        clipped = np.clip(rho, _BOX_CLIP, 1.0 - _BOX_CLIP)
-        u = np.log(clipped / (1.0 - clipped)) - d.v
-        mean = 0.5 * (rho[..., :-1] + rho[..., 1:])
-        flux = -(mean * (1.0 - mean)) * (u[..., 1:] - u[..., :-1]) / dx
-    faces = np.empty(rho.shape[:-1] + (d.grid.n + 1,))
-    faces[..., 1:-1] = flux
+        rho = np.ascontiguousarray(rho)
+        u = np.clip(rho, _BOX_CLIP, 1.0 - _BOX_CLIP)
+        u /= 1.0 - u
+        np.log(u, out=u)
+        u -= d.v
+        flux = _neighbours(np.add, rho)
+        flux *= 0.5  # the face mean
+        flux *= 1.0 - flux
+        np.negative(flux, out=flux)
+        flux *= _neighbours(np.subtract, u)
+    flux /= dx
+    # the divergence over each cell: the interior rows, then the two half
+    # cells with the boundary faces (imposed fluxes) over their volumes
+    out = _neighbours(np.subtract, flux, shift=1)
     if model.model == "A":
-        faces[..., 0] = model.alpha
-        faces[..., -1] = model.beta * rho[..., -1]
-        reaction = 0.0
+        inflow, outflow = model.alpha, model.beta * rho[..., -1]
     else:
-        faces[..., 0] = faces[..., -1] = 0.0
-        if model.model == "B":
-            reaction = model.alpha - model.beta * rho * d.exp_neg_v
-        else:
-            reaction = model.alpha * (1.0 - rho) - model.beta * rho * d.exp_neg_v
-    return (faces[..., 1:] - faces[..., :-1]) / d.volumes - reaction
+        inflow = outflow = 0.0
+    np.subtract(flux[..., 0], inflow, out=out[..., 0])
+    np.subtract(outflow, flux[..., -2], out=out[..., -1])
+    out /= d.volumes
+    if model.model == "B":
+        out -= model.alpha - model.beta * rho * d.exp_neg_v
+    elif model.model == "C":
+        out -= model.alpha * (1.0 - rho) - model.beta * rho * d.exp_neg_v
+    return out
 
+
+def _neighbours(op, x: FloatArray, shift: int = 0) -> FloatArray:
+    """``op(x[..., j + 1], x[..., j])`` of a C-contiguous ``x`` in column
+    ``j + shift`` of a new array of x's shape, computed in one pass over the
+    flattened arrays (faster than over the rows of an ``(m, n)`` block); the
+    column left over holds zero (``shift`` 0: the last, 1: the first)."""
+    out = np.empty(x.shape)
+    flat, xs = out.reshape(-1), x.reshape(-1)
+    op(xs[1:], xs[:-1], out=flat[shift : flat.size - 1 + shift])
+    out[..., -1 + shift] = 0.0
+    return out

@@ -119,7 +119,7 @@ def line_chart(
         for start in range(0, len(x), _CHUNK):
             with np.errstate(all="ignore"):  # inf and NaN pass as in float arithmetic
                 a, b = px(x[start : start + _CHUNK]), py(y[start : start + _CHUNK])
-            coords.extend(map("{:.2f},{:.2f}".format, a.tolist(), b.tolist()))
+            coords.extend(map("%.2f,%.2f".__mod__, zip(a.tolist(), b.tolist())))
         if coords:
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

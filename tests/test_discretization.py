@@ -1,5 +1,7 @@
 """One Discretization per (model, grid), read by every scheme."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,22 @@ def test_discretization_arrays_are_read_only():
     d = discretize(model, build_grid(30))
     for array in (d.v, d.v_faces, d.slope, d.exp_neg_v, d.exp_v, d.exp_v_faces, d.volumes):
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "potential, message",
+    [
+        (PotentialSpec("scaled-linear", gamma=-800.0), r"exp\(-V\) is inf at node 17"),
+        (PotentialSpec("scaled-linear", gamma=800.0), r"exp\(-V\) is 0\.0 at node 18"),
+        (PotentialSpec("tabulated", values=[0.0] * 10 + [710.0] + [0.0] * 9),
+         r"exp\(V\) is inf at node 10"),
+    ],
+    ids=["falling", "rising", "spike"],
+)
+def test_a_potential_whose_exponentials_leave_the_floats_is_rejected(potential, message):
+    # exp(V) and exp(-V) must be finite and positive at every node and face,
+    # and the overflow is no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(domain.InvalidModelError, match=message):
+            discretize(ModelSpec("A", 1.0, 1.0, potential), build_grid(20))

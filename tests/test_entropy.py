@@ -119,6 +119,36 @@ def test_entropy_tolerates_roundoff_negatives_only():
         entropy("logarithmic", DensityField(worse, GRID), const(0.5))
 
 
+def test_block_quadratic_entropy_and_l1_equal_their_formulas():
+    # written into one work array each, bit for bit the expressions below;
+    # the undershoot is clamped, values already inside are used as they are
+    rng = np.random.default_rng(5)
+    ref = DensityField(rng.uniform(0.2, 2.0, GRID.n), GRID)
+    block = rng.uniform(0.0, 2.0, (6, GRID.n))
+    block[1, 3] = -1e-13
+    block[4] = 0.0
+    for rows in (block, block[2:3], block[1], np.delete(block, 1, axis=0)):
+        clamped = np.maximum(rows, 0.0)
+        want = trapezoid(0.5 * (clamped - ref.values) ** 2 / ref.values, GRID.dx)
+        assert np.array_equal(entropy("quadratic", rows, ref), want)
+        want = trapezoid(np.abs(rows - ref.values), GRID.dx)
+        assert np.array_equal(l1_distance(rows, ref), want)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logarithmic", "two-species"])
+def test_a_nan_does_not_hide_a_density_outside_the_domain(kind):
+    # the extrema of a block with a NaN are NaN: the node mask still decides
+    block = np.full((3, GRID.n), 0.5)
+    block[0, 4] = np.nan
+    block[2, 7] = -0.25
+    with pytest.raises(EntropyDomainError, match=r"negative density -0\.25 at node 7"):
+        entropy(kind, block, const(0.5))
+    if kind == "two-species":
+        block[2, 7] = 1.5
+        with pytest.raises(EntropyDomainError, match=r"density 1\.5 above 1 at node 7"):
+            entropy(kind, block, const(0.5))
+
+
 def test_entropy_domain_errors():
     with pytest.raises(EntropyDomainError):
         entropy("quadratic", const(1.0), const(0.0))

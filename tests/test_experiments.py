@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +233,48 @@ def test_csv_cells_are_formatted_per_value(tmp_path):
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
+def test_mass_and_entropy_csv_are_formatted_per_value(tmp_path):
+    # the joint writer formats the shared t and mass cells once; both files
+    # still read what a per-cell f"{v:.17g}" writes, across CSV_ROWS chunks
+    awkward = [0.0, -0.0, 1 / 3, -2.5e-7, 5e-324, 2.2250738585072014e-308,
+               1e300, 123456789.0, math.pi, -math.inf, math.nan, 7.0]
+    rows = 2 * CSV_ROWS + 3
+    rng = np.random.default_rng(4)
+    series = {name: rng.standard_normal(rows) * 1e3
+              for name in ("times", "entropy", "mass", "node_mass", "l1", "residual")}
+    series["times"][:12] = awkward
+    series["mass"][-12:] = awkward[::-1]
+    trajectory = types.SimpleNamespace(**series)
+    experiments._write_mass_and_entropy_csv(tmp_path, trajectory)
+    for name, header, columns in (
+        ("mass.csv", "t,mass,node_average_mass", ("times", "mass", "node_mass")),
+        ("entropy.csv", "t,entropy,mass,l1,residual",
+         ("times", "entropy", "mass", "l1", "residual")),
+    ):
+        cells = zip(*(series[c] for c in columns))
+        expected = [header] + [",".join(f"{v:.17g}" for v in row) for row in cells]
+        assert (tmp_path / name).read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    empty = types.SimpleNamespace(**{name: values[:0] for name, values in series.items()})
+    experiments._write_mass_and_entropy_csv(tmp_path, empty)
+    assert (tmp_path / "mass.csv").read_text(encoding="utf-8") == "t,mass,node_average_mass\n"
+
+
+def test_run_and_mass_evolution_write_the_same_series(tmp_path):
+    # run writes both series with the joint writer when emit asks for both,
+    # each alone with its own writer; mass_evolution always writes both
+    overrides = {"n": 40, "t_end": 0.02, "observe_every": 1}
+    mass_evolution("mass1", out_dir=str(tmp_path / "m"), overrides=overrides)
+    run(preset_config("mass1", overrides), out_dir=str(tmp_path / "r"))
+    for name in ("entropy", "mass"):
+        run(preset_config("mass1", {**overrides, "emit": [name]}), out_dir=str(tmp_path / name))
+    for name in ("entropy.csv", "mass.csv"):
+        written = (tmp_path / "m" / name).read_bytes()
+        assert (tmp_path / "r" / name).read_bytes() == written
+        assert (tmp_path / name.split(".")[0] / name).read_bytes() == written
+    assert not (tmp_path / "entropy" / "mass.csv").exists()
+    assert not (tmp_path / "mass" / "entropy.csv").exists()
+
+
 def test_summary_schema_keys(tmp_path):
     out = tmp_path / "o"
     run(config_from_dict(TINY), out_dir=str(out))
@@ -459,6 +503,21 @@ def test_cli_stationary_density_outside_the_entropy_domain_exits_2(tmp_path, cap
     assert code == 2
     err = capsys.readouterr().err
     assert "stationary density must be finite, positive" in err and node in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_steep_potential_exits_2(tmp_path, capsys):
+    # exp(-V) overflows at the outflow end: a configuration error naming the
+    # node, raised when the potential is evaluated, with no overflow warning
+    data = {"model": "A", "alpha": 1, "beta": 1, "potential": "scaled-linear",
+            "gamma": -800, "n": 20, "dt": 1e-5, "t_end": 0.001}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "potential too steep: exp(-V) is inf at node 17" in err
     assert not (tmp_path / "x").exists()
 
 

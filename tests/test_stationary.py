@@ -232,3 +232,48 @@ def test_residual_of_perturbed_model_B():
     assert np.max(np.abs(r[1:-1])) == pytest.approx(0.09, abs=1e-3)
     # boundary rows see the constant's drift flux against the no-flux faces
     assert abs(r[0]) > 1.0 and abs(r[-1]) > 1.0
+
+
+def faces_residual(d, rho):
+    """The nodal residual written face by face: all n + 1 faces, their
+    differences over the cell volumes, minus the reaction."""
+    model, dx = d.model, d.grid.dx
+    if model.model in ("A", "B"):
+        u = rho * d.exp_neg_v
+        flux = -d.exp_v_faces * (u[..., 1:] - u[..., :-1]) / dx
+    else:
+        clipped = np.clip(rho, 1e-15, 1.0 - 1e-15)
+        u = np.log(clipped / (1.0 - clipped)) - d.v
+        mean = 0.5 * (rho[..., :-1] + rho[..., 1:])
+        flux = -(mean * (1.0 - mean)) * (u[..., 1:] - u[..., :-1]) / dx
+    faces = np.zeros(rho.shape[:-1] + (d.grid.n + 1,))
+    faces[..., 1:-1] = flux
+    reaction = 0.0
+    if model.model == "A":
+        faces[..., 0] = model.alpha
+        faces[..., -1] = model.beta * rho[..., -1]
+    elif model.model == "B":
+        reaction = model.alpha - model.beta * rho * d.exp_neg_v
+    else:
+        reaction = model.alpha * (1.0 - rho) - model.beta * rho * d.exp_neg_v
+    return (faces[..., 1:] - faces[..., :-1]) / d.volumes - reaction
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 200])
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_nodal_residual_equals_the_face_by_face_form(name, n):
+    # the residual runs over whole flattened blocks; no value of one row may
+    # reach another, and each entry is computed as face by face, bit for bit
+    d = discretize(ModelSpec(name, 1.0, 0.9, PotentialSpec("scaled-linear", gamma=-2.5)),
+                   build_grid(n))
+    rng = np.random.default_rng(n)
+    block = rng.uniform(0.0, 1.0, (5, n))
+    block[1] = 0.0  # a row of zeros (clipped for model C) beside nonzero rows
+    strided = np.ones((5, n + 1))
+    strided[:, :-1] = block
+    for rho in (block, strided[:, :-1], block[2]):
+        got = nodal_residual(d, rho)
+        assert got.shape == rho.shape
+        assert np.array_equal(got, faces_residual(d, rho))
+    for i, row in enumerate(block):
+        assert np.array_equal(nodal_residual(d, block)[i], nodal_residual(d, row))
