@@ -7,17 +7,15 @@ of one thread per core gains little, and it loses a lot when the cores are
 shared: its threads wait for each other inside every product. On a
 two-core machine with one other busy process, an ``entropy-A`` run
 (t_end 0.7) took 26-260 ms with the default threads and 22-38 ms on
-one thread. The five-member gamma sweep, whose two pool workers ran two
-BLAS threads each, took 114-662 ms even with the machine otherwise idle;
-with the workers forked inside :func:`serial_blas` it takes 100-140 ms.
+one thread.
 
 :func:`serial_blas` sets OpenBLAS to one thread for the block and restores
 the previous count after it. A count that is already 1 is not touched:
-in a forked child, setting the count restarts OpenBLAS's helper threads,
-whose spin-wait slowed each sweep member 1.5-2x. The count is
-process-wide, so the block should not overlap another thread's BLAS work. numpy's OpenBLAS is found
-among the shared objects the process has mapped (``/proc/self/maps``,
-Linux); with another BLAS, or on another system, the block runs unchanged.
+setting the count restarts OpenBLAS's helper threads. The count is
+process-wide, so the block should not overlap another thread's BLAS
+work. numpy's OpenBLAS is found among the shared objects the process has
+mapped (``/proc/self/maps``, Linux); with another BLAS, or on another
+system, the block runs unchanged.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ def _reject(row: FloatArray) -> None:
 
 def _xlogx_ratio(a: FloatArray, b: FloatArray) -> FloatArray:
     """a * log(a / b) with the continuous extension 0 log 0 = 0: an entry of
-    ``a`` that is not positive (0 or NaN) gives exactly 0."""
-    pos = a > 0.0
+    ``a`` that is 0 or negative gives exactly 0, a NaN entry gives NaN."""
+    pos = ~(a <= 0.0)
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
     np.divide(a, b, out=out, where=pos)
     np.log(out, out=out, where=pos)

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain
 from pathlib import Path
@@ -21,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blas import serial_blas
 from .domain import (
     DensityField,
     Discretization,
@@ -40,7 +37,7 @@ from .entropy import (
     fit_exponential_rate,
     predicted_rate,
 )
-from .errors import ConfigError, FitError, FokkerFluxError
+from .errors import ConfigError, FitError
 from .spectral import EigenResult, friedrichs_k, symmetric_k
 from .stationary import stationary_closed, stationary_numeric
 from .svg import line_chart
@@ -48,7 +45,6 @@ from .transient import SolverConfig, Trajectory, run_transient
 
 EMIT_CHOICES = ("snapshots", "entropy", "mass", "summary", "svg")
 DEFAULT_EMIT = ("snapshots", "entropy", "summary")
-THREADS_ENV = "FOKKER_FLUX_THREADS"
 # Rows a CSV writer formats at once: the whole series of a run observed at
 # every step (16 001 rows) held as Python floats and strings raised its peak
 # memory by 3 MB.
@@ -593,8 +589,7 @@ class SweepRow:
     r_squared: float
 
 
-def _sweep_worker(payload: tuple[dict, float]) -> tuple[float, float, float]:
-    base, gamma = payload
+def _sweep_member(base: dict, gamma: float) -> SweepRow:
     data = dict(base)
     data["potential"] = "scaled-linear"
     data["gamma"] = gamma
@@ -604,20 +599,7 @@ def _sweep_worker(payload: tuple[dict, float]) -> tuple[float, float, float]:
     summary, _ = execute(config)
     if summary.fitted_rate is None:
         raise FitError(f"gamma={gamma}: entropy series could not be fitted")
-    return gamma, summary.fitted_rate, summary.fit.r_squared
-
-
-def _sweep_workers_cap(n_jobs: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be at least 1")
-        return min(cap, n_jobs)
-    return min(os.cpu_count() or 1, n_jobs)
+    return SweepRow(gamma, summary.fitted_rate, summary.fit.r_squared)
 
 
 def gamma_sweep(
@@ -625,9 +607,9 @@ def gamma_sweep(
 ) -> list[SweepRow]:
     """One model-A run per drift scaling factor; returns rows sorted by gamma.
 
-    Runs execute in parallel processes (capped by FOKKER_FLUX_THREADS); the
-    merge order is deterministic. If a member fails, the completed rows are
-    flushed to sweep.csv before the failure is re-raised.
+    The runs execute one after another in the calling process, in
+    increasing gamma. If a member fails, the completed rows are flushed to
+    sweep.csv before the failure propagates.
     """
     if base.d.model.model != "A":
         raise ConfigError("the drift sweep is defined for model A")
@@ -637,30 +619,14 @@ def gamma_sweep(
     for g in gs:
         if not math.isfinite(g):
             raise ConfigError(f"gamma values must be finite, got {g}")
-    payloads = [(base.raw, g) for g in sorted(gs)]
     rows: list[SweepRow] = []
-    failure: Optional[BaseException] = None
-    workers = _sweep_workers_cap(len(payloads))
     try:
-        if workers <= 1:
-            for payload in payloads:
-                rows.append(SweepRow(*_sweep_worker(payload)))
-        else:
-            # forked workers inherit one BLAS thread: the pool already fills the
-            # cores, and a worker that starts BLAS threads of its own oversubscribes them
-            with serial_blas(), ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_sweep_worker, payloads):
-                    rows.append(SweepRow(*result))
-    except FokkerFluxError as exc:
-        failure = exc
-    except Exception as exc:  # worker crash: surface after flushing partials
-        failure = exc
-    rows.sort(key=lambda r: r.gamma)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        table = np.array([(r.gamma, r.fitted_rate, r.r_squared) for r in rows]).reshape(-1, 3)
-        _write_csv(out / "sweep.csv", "gamma,fitted_rate,r_squared", table.T)
-    if failure is not None:
-        raise failure
+        for g in sorted(gs):
+            rows.append(_sweep_member(base.raw, g))
+    finally:
+        if out_dir is not None:
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            table = np.array([(r.gamma, r.fitted_rate, r.r_squared) for r in rows]).reshape(-1, 3)
+            _write_csv(out / "sweep.csv", "gamma,fitted_rate,r_squared", table.T)
     return rows

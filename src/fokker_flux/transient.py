@@ -323,7 +323,9 @@ def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
 
     The first block doubles: rows ``h .. 2h-1`` are rows ``0 .. h-1`` times
     ``(P^(s h))^T``, squared while more samples are wanted. Each later block
-    is the one before times ``(P^(s B))^T`` in place, valid until the next.
+    is the one before times ``(P^(s B))^T``, written into the other of two
+    buffers (a product in place copies its operand first); a block stays
+    valid until the next one is yielded.
     """
     block = np.ones((min(OBSERVER_BLOCK, count), rho.size + 1))
     block[0, :-1] = rho
@@ -335,11 +337,12 @@ def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
         if have < count:
             power = power @ power
     yield block
+    spare = np.empty_like(block) if have < count else None
     while have < count:
-        rows = block[: min(len(block), count - have)]
-        np.matmul(rows, power.T, out=rows)
-        have += len(rows)
-        yield rows
+        rows = min(len(block), count - have)
+        spare, block = block, np.matmul(block[:rows], power.T, out=spare[:rows])
+        have += rows
+        yield block
 
 
 def step_explicit(rho: DensityField, d: Discretization, dt: float) -> DensityField:

@@ -1,7 +1,6 @@
 import pytest
 
-from fokker_flux import config_from_dict, execute, gamma_sweep, preset_config
-from fokker_flux import experiments
+from fokker_flux import execute, preset_config
 from fokker_flux.blas import serial_blas, thread_controls
 
 controls = thread_controls()
@@ -53,30 +52,6 @@ def test_propagator_run_restores_the_thread_count():
     put(2)
     try:
         execute(preset_config("entropy-A", {"t_end": 0.01, "observe_every": 100}))
-        assert get() == 2
-    finally:
-        put(previous)
-
-
-def _report_threads(payload):
-    """Sweep worker stand-in: the BLAS thread count the worker process sees."""
-    return payload[1], float(controls[0]()), 0.0
-
-
-@needs_openblas
-def test_sweep_workers_run_blas_on_one_thread(monkeypatch):
-    get, put = controls
-    previous = get()
-    put(2)
-    monkeypatch.setenv("FOKKER_FLUX_THREADS", "2")
-    monkeypatch.setattr(experiments, "_sweep_worker", _report_threads)
-    try:
-        base = config_from_dict({
-            "model": "A", "alpha": 1.0, "beta": 1.0, "potential": "scaled-linear", "gamma": 0.0,
-            "initial": {"kind": "affine", "a": -0.1, "b": 1.2}, "n": 60, "dt": 5e-5, "t_end": 1.0,
-        })
-        rows = gamma_sweep(base, [0.0, 0.5])
-        assert [r.fitted_rate for r in rows] == [1.0, 1.0]
         assert get() == 2
     finally:
         put(previous)

@@ -88,6 +88,26 @@ def test_block_boundaries_match_stepping(model_name, stride):
         assert traj.max_value == pytest.approx(max(s.max() for s in states), abs=1e-10)
 
 
+def test_each_later_block_is_the_block_before_times_the_block_power():
+    rng = np.random.default_rng(3)
+    n = 20
+    power = rng.uniform(0.0, 1.0, (n + 1, n + 1))
+    power /= power.sum(axis=1, keepdims=True)
+    block_power = power
+    for _ in range(B.bit_length() - 1):  # P^B by the squarings of the first block
+        block_power = block_power @ block_power
+    count = 3 * B + 5
+    blocks = transient._strided_blocks(rng.uniform(0.0, 1.0, n), power, count)
+    before = next(blocks).copy()
+    sizes = [len(before)]
+    for block in blocks:
+        # bit for bit the block before times P^B
+        assert np.array_equal(block, before[: len(block)] @ block_power.T)
+        before = block.copy()
+        sizes.append(len(block))
+    assert sizes == [B, B, B, 5]
+
+
 def test_divergence_in_a_later_block_reported_at_its_row(monkeypatch):
     grid = build_grid(20)
     model = ModelSpec("A", 1.0, 0.9, PotentialSpec("linear"))

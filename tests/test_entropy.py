@@ -91,7 +91,7 @@ def masked_xlogx_ratio(a, b):
     """``a log(a/b)`` as taken with boolean indexing before ``where=``."""
     a, b = np.broadcast_arrays(a, b)
     out = np.zeros_like(a)
-    pos = a > 0.0
+    pos = ~(a <= 0.0)
     out[pos] = a[pos] * np.log(a[pos] / b[pos])
     return out
 
@@ -105,8 +105,9 @@ def test_xlogx_ratio_equals_the_masked_form():
             a[rng.random(shape) < zeros] = 0.0
             a.reshape(-1)[:4] = (np.nan, -0.0, -1e-13, 5e-324)
             got = _xlogx_ratio(a, b)
-            assert np.array_equal(got, masked_xlogx_ratio(a, b))
-            assert np.all(got[~(a > 0.0)] == 0.0)  # 0, -0, negatives and NaN
+            assert np.array_equal(got, masked_xlogx_ratio(a, b), equal_nan=True)
+            assert np.all(got[a <= 0.0] == 0.0)  # 0, -0 and negatives
+            assert np.all(np.isnan(got[np.isnan(a)]))
 
 
 def test_entropy_tolerates_roundoff_negatives_only():
@@ -147,6 +148,16 @@ def test_a_nan_does_not_hide_a_density_outside_the_domain(kind):
         block[2, 7] = 1.5
         with pytest.raises(EntropyDomainError, match=r"density 1\.5 above 1 at node 7"):
             entropy(kind, block, const(0.5))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logarithmic", "two-species"])
+def test_a_row_with_a_nan_has_a_nan_entropy(kind):
+    block = np.full((3, GRID.n), 0.5)
+    block[1, 4] = np.nan
+    got = entropy(kind, block, const(0.25))
+    assert np.isnan(got[1])
+    assert np.all(np.isfinite(got[[0, 2]]))
+    assert np.isnan(entropy(kind, DensityField(block[1], GRID), const(0.25)))
 
 
 def test_entropy_domain_errors():

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,8 +384,7 @@ SWEEP_BASE = {
 }
 
 
-def test_gamma_sweep_serial(tmp_path, monkeypatch):
-    monkeypatch.setenv("FOKKER_FLUX_THREADS", "1")
+def test_gamma_sweep_serial(tmp_path):
     base = config_from_dict(SWEEP_BASE)
     rows = gamma_sweep(base, [1.0, 0.5, 0.0], out_dir=str(tmp_path))
     assert [r.gamma for r in rows] == [0.0, 0.5, 1.0]  # deterministic merge order
@@ -394,16 +397,7 @@ def test_gamma_sweep_serial(tmp_path, monkeypatch):
     assert len(text.strip().split("\n")) == 4
 
 
-def test_gamma_sweep_parallel(tmp_path, monkeypatch):
-    monkeypatch.setenv("FOKKER_FLUX_THREADS", "2")
-    base = config_from_dict(dict(SWEEP_BASE, n=60, dt=5e-5, t_end=1.0, observe_every=200))
-    rows = gamma_sweep(base, [0.5, 0.0], out_dir=str(tmp_path))
-    assert [r.gamma for r in rows] == [0.0, 0.5]
-    assert all(r.fitted_rate > 0 for r in rows)
-
-
-def test_gamma_sweep_flushes_partials_on_failure(tmp_path, monkeypatch):
-    monkeypatch.setenv("FOKKER_FLUX_THREADS", "1")
+def test_gamma_sweep_flushes_partials_on_failure(tmp_path):
     # a run too short to fit: every member fails, header still flushed
     base = config_from_dict(dict(SWEEP_BASE, t_end=0.001, dt=5e-5, n=60))
     with pytest.raises(FitError):
@@ -411,9 +405,25 @@ def test_gamma_sweep_flushes_partials_on_failure(tmp_path, monkeypatch):
     assert (tmp_path / "sweep.csv").read_text().startswith("gamma,fitted_rate")
 
 
-def test_gamma_sweep_members_equal_single_runs(monkeypatch):
+def test_gamma_sweep_flushes_completed_rows_before_a_failure(tmp_path, monkeypatch):
+    member = experiments._sweep_member
+
+    def fail_at_one(raw, gamma):
+        if gamma == 1.0:
+            raise RuntimeError("member crashed")
+        return member(raw, gamma)
+
+    monkeypatch.setattr(experiments, "_sweep_member", fail_at_one)
+    base = config_from_dict(dict(SWEEP_BASE, n=60, dt=5e-5, t_end=1.0, observe_every=200))
+    with pytest.raises(RuntimeError, match="member crashed"):
+        gamma_sweep(base, [1.0, 0.5, 0.0], out_dir=str(tmp_path))
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "gamma,fitted_rate,r_squared"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.5]
+
+
+def test_gamma_sweep_members_equal_single_runs():
     # the members are built from the base's input mapping as given
-    monkeypatch.setenv("FOKKER_FLUX_THREADS", "1")
     data = dict(
         SWEEP_BASE, potential="linear", initial="mass1", n=60, dt=5e-5, t_end=1.0,
         observe_every=200, snapshot_times=[0.5], emit=["entropy"], outputs="unused",
@@ -441,11 +451,28 @@ def test_gamma_sweep_rejects_bad_values():
         gamma_sweep(base, [math.nan])
 
 
-def test_threads_env_validated(monkeypatch):
-    monkeypatch.setenv("FOKKER_FLUX_THREADS", "zero")
-    base = config_from_dict(SWEEP_BASE)
-    with pytest.raises(ConfigError):
-        gamma_sweep(base, [0.0])
+def test_gamma_sweep_runs_in_the_calling_process(monkeypatch):
+    def no_fork():
+        raise OSError("fork is not available")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    base = config_from_dict(dict(SWEEP_BASE, n=60, dt=5e-5, t_end=1.0, observe_every=200))
+    rows = gamma_sweep(base, [0.5, 0.0, 1.0])
+    assert [r.gamma for r in rows] == [0.0, 0.5, 1.0]
+    assert all(r.fitted_rate > 0 for r in rows)
+
+
+def test_import_loads_no_process_pool():
+    package_root = Path(experiments.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    probe = (
+        "import sys, fokker_flux; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # -------------------------------------------------------------------- CLI
@@ -639,8 +666,7 @@ def test_cli_preset_bad_override_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_cli_sweep(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FOKKER_FLUX_THREADS", "1")
+def test_cli_sweep(tmp_path, capsys):
     cfg_path = write_config(tmp_path, dict(SWEEP_BASE, n=60, dt=5e-5, t_end=1.0,
                                            observe_every=200))
     code = main(["sweep", "--config", str(cfg_path), "--gamma", "0,0.5",
