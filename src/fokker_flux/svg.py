@@ -13,7 +13,8 @@ import numpy as np
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 46
-# points formatted per pass: bounds the float lists alive beside the strings
+# points formatted per pass: bounds the float lists and the per-point strings
+# alive at once, as each chunk is joined into one string before the next
 _CHUNK = 1024
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -115,15 +116,15 @@ def line_chart(
     )
     for idx, ((label, _, _), (x, y)) in enumerate(zip(series, points)):
         color = PALETTE[idx % len(PALETTE)]
-        coords = []
+        chunks = []  # one string per chunk: " ".join of these joins every point
         for start in range(0, len(x), _CHUNK):
             with np.errstate(all="ignore"):  # inf and NaN pass as in float arithmetic
                 a, b = px(x[start : start + _CHUNK]), py(y[start : start + _CHUNK])
-            coords.extend(map("%.2f,%.2f".__mod__, zip(a.tolist(), b.tolist())))
-        if coords:
+            chunks.append(" ".join(map("%.2f,%.2f".__mod__, zip(a.tolist(), b.tolist()))))
+        if chunks:
             out.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{" ".join(coords)}"/>'
+                f'points="{" ".join(chunks)}"/>'
             )
         ly = MARGIN_T + 14 + 16 * idx
         lx = WIDTH - MARGIN_R - 150
@@ -139,5 +140,5 @@ def line_chart(
         f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{ylabel}</text>'
     )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")  # the final newline, without a copy of the whole text
+    return "\n".join(out)

@@ -365,9 +365,10 @@ class _ImplicitStepper:
     ``solves`` counts the Newton iterations (one Thomas solve each).
 
     The terms of the balances that depend only on ``(rho_old, dt)`` are
-    formed once per Newton solve (:meth:`_balance`): one evaluation of
-    ``G`` (:meth:`_residual`) takes 18 numpy calls and its norm 3, and a
-    run's step with one chord iteration 55, its cubic start and the run's
+    formed once per Newton solve (:meth:`_balance`), and the one that
+    depends only on ``dt`` once per step size: one evaluation of ``G``
+    (:meth:`_residual`) takes 18 numpy calls and its norm 3, and a run's
+    step with one chord iteration 53, its cubic start and the run's
     running extrema included (61 when each evaluation formed those terms
     itself; README, cost model of an implicit step).
 
@@ -397,6 +398,7 @@ class _ImplicitStepper:
         self.chord = n <= CHORD_MAX_N
         self.inverse = self.inverse_dt = None
         self.chord_iterations = 0
+        self.coef = self.coef_dt = None  # see _balance
 
     @staticmethod
     def _logistic(z: FloatArray, work: FloatArray | None = None) -> FloatArray:
@@ -417,12 +419,16 @@ class _ImplicitStepper:
     def _balance(self, rho_old: FloatArray, dt: float):
         """The terms of the cell balances that depend only on ``(rho_old, dt)``:
         ``coef = vol/dt + vol decay`` and ``base = vol alpha - vol decay rho_old``,
-        with ``decay = alpha + beta e^{-V}``."""
+        with ``decay = alpha + beta e^{-V}``. ``coef`` is held with the ``dt``
+        it was formed for (``coef_dt``) and formed again only for another
+        ``dt``; ``base`` is new in every call."""
+        if self.coef_dt != dt:
+            self.coef = self.vol / dt
+            self.coef += self.vol_decay
+            self.coef_dt = dt
         base = np.multiply(rho_old, self.vol_decay)
         np.subtract(self.vol_alpha, base, out=base)
-        coef = self.vol / dt
-        coef += self.vol_decay
-        return coef, base
+        return self.coef, base
 
     def _residual(self, u: FloatArray, rho_old: FloatArray, coef: FloatArray, base: FloatArray):
         """Cell balances ``G(u)`` and the density, both new arrays; ``coef`` and

@@ -366,3 +366,17 @@ def test_retry_and_step_without_guess_take_no_chord_iterations():
     rho, u = stepper.solve(rho_old, dt, np.full(g.n, np.nan))
     assert stepper.chord_iterations == 1
     assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
+
+
+def test_stepper_across_step_sizes_is_a_fresh_stepper_at_each():
+    g = build_grid(60)
+    d = discretize(MODEL_C, g)
+    rho = np.random.default_rng(8).uniform(0.02, 0.98, g.n)
+    stepper = _ImplicitStepper(d, transient.NewtonConfig())
+    for dt in (1e-2, 3e-3, 1e-2):
+        want = _ImplicitStepper(d, transient.NewtonConfig()).step(rho, dt)
+        rho = stepper.step(rho, dt)
+        assert np.array_equal(rho, want)
+        assert np.array_equal(stepper._balance(rho, dt)[0], d.volumes / dt + stepper.vol_decay)
+    # coef is formed once per step size: the same array while dt stays
+    assert stepper._balance(rho, 1e-2)[0] is stepper._balance(0.5 * rho, 1e-2)[0]

@@ -1,9 +1,10 @@
 """``svg.line_chart`` against the earlier version that collected every
-point in a list before taking the axis ranges: the SVG text must be
-identical.
+point in a list before taking the axis ranges and kept one string per
+point until its final join: the SVG text must be identical.
 """
 
 import math
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ from fokker_flux.svg import (
     MARGIN_T,
     PALETTE,
     WIDTH,
+    _CHUNK,
     _fmt,
     _ticks,
     line_chart,
@@ -118,6 +120,13 @@ def old_line_chart(
     return "\n".join(out) + "\n"
 
 
+def across_chunks(count):
+    """Two series of ``count`` and ``count // 2`` positive points, which a log
+    axis keeps, so that both axes plot ``count`` points in chunks of ``_CHUNK``."""
+    t = np.linspace(0.0, 1.0, count)
+    return [("mass", t, 1.5 + np.sin(9.0 * t)), ("half", t[: count // 2], np.exp(-t[: count // 2]))]
+
+
 T = np.linspace(0.0, 2.0, 401)
 SERIES = {
     "one": [("mass", T, 1.0 + np.sin(3.0 * T))],
@@ -141,6 +150,10 @@ SERIES = {
     "long with non-positive values": [
         ("mass", np.linspace(0.0, 0.16, 16001), np.cos(np.linspace(0.0, 40.0, 16001)) * 1e-3),
     ],
+    **{
+        f"{count} points across chunks": across_chunks(count)
+        for count in (0, 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+    },
 }
 
 
@@ -151,3 +164,19 @@ def test_line_chart_bytes_unchanged(name, log_y):
     want = old_line_chart(series, f"title {name}", "t", "y", log_y=log_y)
     got = line_chart(series, f"title {name}", "t", "y", log_y=log_y)
     assert got.encode() == want.encode()
+
+
+@pytest.mark.parametrize("log_y", [False, True])
+def test_line_chart_memory_is_bounded_by_its_text(log_y):
+    # one string per point (about 70 bytes with its list slot, for 13-14 bytes
+    # of text) peaks near 8 times the text on a linear axis and 9 on a log one
+    t = np.linspace(0.0, 2.0, 200_001)
+    y = np.exp(-t) * (1.0 + 0.5 * np.sin(40.0 * t))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        text = line_chart([("mass", t, y)], "mass", "t", "mass", log_y=log_y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
