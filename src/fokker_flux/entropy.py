@@ -242,7 +242,13 @@ def fit_exponential_rate(
 ) -> RateReport:
     """Fit ``value ~ intercept * exp(-slope * t)`` on a window by least squares.
 
-    Requires at least 10 samples in the window, all strictly positive.
+    Requires a finite series and at least 10 samples in the window, all
+    strictly positive. The line through ``y = log value`` is the closed
+    form with both coordinates centered: ``slope = -sum(tc yc) / sum(tc^2)`` for
+    ``tc = t - mean(t)`` and ``yc = y - mean(y)``, and ``intercept =
+    exp(mean(y) + slope mean(t))``. The products are summed pairwise by
+    ``np.sum``, not by a BLAS dot product, which may thread long vectors.
+    The window's times, its logarithms and one work array are all it holds.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -253,26 +259,40 @@ def fit_exponential_rate(
         raise FitError(f"window [{lo}, {hi}] outside the series range")
     sel = (times >= lo) & (times <= hi)
     t = times[sel]
-    v = values[sel]
+    y = values[sel]
     if t.size < 10:
         raise FitError(f"window holds {t.size} samples; at least 10 are needed")
-    if np.any(v <= 0.0):
+    peak = float(values.max())  # NaN or inf when a value is, which the floor cannot take
+    if not (math.isfinite(peak) and math.isfinite(values.min())):
+        k = int(np.argmin(np.isfinite(values)))
+        raise FitError(f"cannot fit a rate through the value {values[k]} of sample {k} "
+                       f"(t={times[k]})")
+    smallest = float(y.min())
+    if smallest <= 0.0:
         raise FitError("cannot fit a rate through nonpositive values")
-    floor = 1e3 * np.finfo(np.float64).eps * float(values.max())
-    if float(v.min()) <= floor:
+    floor = 1e3 * np.finfo(np.float64).eps * peak
+    if smallest <= floor:
         raise FitError(
-            f"window reaches the roundoff plateau (value {v.min():.3e} below "
+            f"window reaches the roundoff plateau (value {smallest:.3e} below "
             f"{floor:.3e}); shrink the window"
         )
-    y = np.log(v)
-    design = np.column_stack([t, np.ones_like(t)])
-    (slope, const), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ np.array([slope, const])
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
+    np.log(y, out=y)
+    t_mean, y_mean = float(np.mean(t)), float(np.mean(y))
+    t -= t_mean
+    y -= y_mean
+    work = np.multiply(t, t)
+    spread = float(np.sum(work))
+    if not spread > 0.0:  # equal or non-finite times
+        raise FitError(f"the window's times do not spread: sum of squared deviations {spread}")
+    gradient = float(np.sum(np.multiply(t, y, out=work))) / spread  # of the line, -slope
+    ss_tot = float(np.sum(np.multiply(y, y, out=work)))
+    resid = np.multiply(t, gradient, out=work)
+    np.subtract(y, resid, out=resid)
+    ss_res = float(np.sum(np.multiply(resid, resid, out=resid)))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return RateReport(
-        fitted_slope=-float(slope),
-        intercept=float(np.exp(const)),
+        fitted_slope=-gradient,
+        intercept=math.exp(y_mean - gradient * t_mean),
         fit_window=(float(lo), float(hi)),
         r_squared=r2,
         predicted_rate=None if prediction is None else prediction.value,

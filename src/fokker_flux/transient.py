@@ -104,7 +104,7 @@ class Trajectory:
     step 0, the samples, the snapshots and the final step (the extrema of a
     block are taken once). Nonnegativity of every A/B iterate follows from
     the certificate checked when the propagator is built (see
-    :meth:`_ExplicitStepper.affine_matrix`). ``newton_iterations``
+    :meth:`_ExplicitStepper.step_band`). ``newton_iterations``
     counts the Thomas solves of the implicit scheme's Newton iterations,
     ``newton_max_per_step`` the most in one step, and ``chord_iterations``
     its chord iterations (one product with a held Jacobian inverse each,
@@ -246,31 +246,30 @@ class _ExplicitStepper:
             self.react *= dt
             rho += self.react
 
-    def affine_matrix(self, dt: float) -> FloatArray:
-        """Augmented step matrix ``P = [[T, c], [0, 1]]`` of model A or B.
+    def step_band(self, dt: float) -> tuple[FloatArray, FloatArray]:
+        """The step ``rho -> T rho + c`` of model A or B as ``(band, c)``:
+        row i of the ``(n, 3)`` array ``band`` holds ``T[i, i-1]``, ``T[i, i]``
+        and ``T[i, i+1]`` (``band[0, 0]`` and ``band[n-1, 2]`` lie outside ``T``
+        and are 0).
 
-        One explicit step of a linear model is the affine map
-        ``rho -> T rho + c``; ``P`` applied to ``(rho, 1)`` performs it, and
-        ``P^m`` performs m steps. ``c = step(0)`` and column j of ``T`` is
-        ``step(e_j) - c``, read off :meth:`step` itself, so model B's Lie
-        splitting of transport and reaction is reproduced as stepped.
-
-        Four steps give all of ``T`` (Curtis, Powell & Reid 1974): the zero
-        field, and the three combs with ones at the nodes ``j = r (mod 3)``.
-        Node i of a step reads only nodes i-1, i and i+1 (the reaction is
-        pointwise, the outflow face at x = 1 reads only the last node), so
-        ``T`` is tridiagonal, and row i of ``step(comb_r) - c`` is entry
-        ``(i, j)`` of the one tooth j in {i-1, i, i+1}: teeth 3 apart never
-        reach the same row. That entry is computed from the same three
-        inputs as in ``step(e_j)``, so ``T`` is the column-by-column matrix
-        bit for bit, zeros off the band included.
+        ``c = step(0)`` and column j of ``T`` is ``step(e_j) - c``, read off
+        :meth:`step` itself, so model B's Lie splitting of transport and
+        reaction is reproduced as stepped. Four steps give all of ``T``
+        (Curtis, Powell & Reid 1974): the zero field, and the three combs
+        with ones at the nodes ``j = r (mod 3)``. Node i of a step reads
+        only nodes i-1, i and i+1 (the reaction is pointwise, the outflow
+        face at x = 1 reads only the last node), so ``T`` is tridiagonal,
+        and row i of ``step(comb_r) - c`` is entry ``(i, j)`` of the one
+        tooth j in {i-1, i, i+1}: teeth 3 apart never reach the same row.
+        That entry is computed from the same three inputs as in
+        ``step(e_j)``, so ``T`` is the column-by-column matrix bit for bit.
 
         Raises StabilityError unless ``T >= 0`` entrywise (up to roundoff)
         and ``c >= 0``: with that certificate every iterate of nonnegative
         data is nonnegative.
         """
         n = self.d.grid.n
-        out = np.zeros((n + 1, n + 1))
+        band = np.empty((n, 3))
         c = np.zeros(n)
         self.step(c, dt)
         rows = np.arange(n)
@@ -280,20 +279,35 @@ class _ExplicitStepper:
             comb[r::3] = 1.0
             self.step(comb, dt)
             comb -= c
-            cols = rows + (r + 1 - rows) % 3 - 1  # the tooth each row reads
-            inside = (cols >= 0) & (cols < n)  # rows 0 and n-1 may read none
-            out[rows[inside], cols[inside]] = comb[inside]
-        out[:n, n] = c
-        out[n, n] = 1.0
-        T = out[:n, :n]
-        if not (T.min() >= -_ROUNDOFF and c.min() >= 0.0):
-            i, j = np.unravel_index(int(np.argmin(T)), T.shape)
+            band[rows, (r + 1 - rows) % 3] = comb  # the tooth each row reads
+        if not (band.min() >= -_ROUNDOFF and c.min() >= 0.0):
+            i, k = divmod(int(np.argmin(band)), 3)
+            j = i + k - 1
             raise StabilityError(
                 f"dt={dt} breaks the positivity bound T >= 0 (to -{_ROUNDOFF:g}), c >= 0 "
-                f"of the explicit step rho -> T rho + c: T[{i}, {j}] = {T[i, j]:.3e}, "
+                f"of the explicit step rho -> T rho + c: T[{i}, {j}] = {band[i, k]:.3e}, "
                 f"min c = {c.min():.3e} (stability bound {self.d.max_dt:.6e}); "
                 "lower dt (run configurations accept dt='auto' for half the bound)"
             )
+        return band, c
+
+    def affine_matrix(self, dt: float) -> FloatArray:
+        """Augmented step matrix ``P = [[T, c], [0, 1]]`` of model A or B, from
+        :meth:`step_band` (which checks the positivity certificate).
+
+        One explicit step of a linear model is the affine map
+        ``rho -> T rho + c``; ``P`` applied to ``(rho, 1)`` performs it, and
+        ``P^m`` performs m steps.
+        """
+        band, c = self.step_band(dt)
+        n = len(c)
+        out = np.zeros((n + 1, n + 1))
+        i = np.arange(n)
+        out[i, i] = band[:, 1]
+        out[i[:-1], i[1:]] = band[:-1, 2]
+        out[i[1:], i[:-1]] = band[1:, 0]
+        out[:n, n] = c
+        out[n, n] = 1.0
         return out
 
     def jump_matrices(self, dt: float, jumps: set) -> dict:
@@ -319,7 +333,8 @@ class _ExplicitStepper:
 
 def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
     """The states at steps 0, s, 2s, .. (``count`` of them) with a trailing 1,
-    in blocks of ``OBSERVER_BLOCK`` rows, ``power`` being ``P^s``.
+    in blocks of ``OBSERVER_BLOCK`` rows, ``power`` being ``P^s``, handed
+    over: with no other reference held, the first squaring frees it.
 
     The first block doubles: rows ``h .. 2h-1`` are rows ``0 .. h-1`` times
     ``(P^(s h))^T``, squared while more samples are wanted. Each later block
@@ -346,10 +361,15 @@ def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
 
 
 def step_explicit(rho: DensityField, d: Discretization, dt: float) -> DensityField:
-    """One explicit step of ``rho``, a field on ``d.grid``; requires ``dt <= d.max_dt``."""
+    """One explicit step of ``rho``, a field on ``d.grid``; requires ``dt <= d.max_dt``
+    and, for models A and B, the positivity certificate of
+    :meth:`_ExplicitStepper.step_band` (StabilityError otherwise)."""
     work = DensityField(rho.values, d.grid).values.copy()
     _check_cfl(d, dt)
-    _ExplicitStepper(d).step(work, dt)
+    stepper = _ExplicitStepper(d)
+    if not d.model.crowded:  # the positivity certificate, as in a run
+        stepper.step_band(dt)
+    stepper.step(work, dt)
     if not np.all(np.isfinite(work)):
         raise DivergenceError("non-finite values after one explicit step")
     return DensityField(work, d.grid)
@@ -625,7 +645,7 @@ def _propagated(rho: FloatArray, stepper: _ExplicitStepper, dt: float, stride: i
             f"propagator at n={rho.size}; lower n"
         ) from err
     first, lo, hi = 0, math.inf, -math.inf  # first: sample index of the block's first row
-    for block in _strided_blocks(rho, powers.get(stride), strided):
+    for block in _strided_blocks(rho, powers.pop(stride, None), strided):
         end = first + len(block)
         off = [k for k in events if k % stride and first <= k // stride < end]
         at = [k // stride - first + 1 for k in off]  # each directly after its base sample

@@ -8,6 +8,8 @@ discrete mass balance, to one explicit step at a time across block
 boundaries, and to the divergence contract.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,20 @@ def test_divergence_in_a_later_block_reported_at_its_row(monkeypatch):
     rows = np.concatenate(observed)
     assert rows.shape[0] == bad_sample
     assert np.all(np.isfinite(rows))
+
+
+def test_the_doubling_owns_the_stride_power():
+    # the explicit-A benchmark configuration: P^s is handed to the first
+    # block's doubling, which frees it after its first squaring
+    config = preset_config("entropy-A", {"n": 200, "dt": 5e-6, "t_end": 0.7,
+                                         "observe_every": 1000})
+    reference = transient.stationary_numeric(config.d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = run_transient(config.d, config.initial, config.solver, reference=reference)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 141 > 2 * B
+    assert peak < 3.5 * 8 * 201**2

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fokker_flux import (
     UndefinedConstantError,
     build_grid,
     discretize,
+    execute,
     ck_check,
     ck_constant,
     default_fit_window,
@@ -23,6 +26,7 @@ from fokker_flux import (
     node_average,
     phi_lemma,
     predicted_rate,
+    preset_config,
     stationary_closed,
     trapezoid,
 )
@@ -383,3 +387,71 @@ def test_default_window_excludes_roundoff_plateau():
     assert hi < 14.0
     report = fit_exponential_rate(t, v, (lo, hi))
     assert report.fitted_slope == pytest.approx(2.0, rel=1e-9)
+
+
+def exact_centered_slope(t, y):
+    """sum (t - mean t)(y - mean y) / sum (t - mean t)^2 in exact rational arithmetic."""
+    ts, ys = [Fraction(x) for x in t], [Fraction(x) for x in y]
+    t_mean, y_mean = sum(ts) / len(ts), sum(ys) / len(ys)
+    num = sum((a - t_mean) * (b - y_mean) for a, b in zip(ts, ys))
+    return num / sum((a - t_mean) ** 2 for a in ts)
+
+
+def assert_exact_slope(times, values, window):
+    report = fit_exponential_rate(times, values, window)
+    sel = (times >= window[0]) & (times <= window[1])
+    exact = -exact_centered_slope(times[sel], np.log(values[sel]))
+    assert abs(Fraction(report.fitted_slope) - exact) <= Fraction(4e-16) * abs(exact)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_slope_is_the_exact_centered_formula(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(10, 3000))
+    t = np.sort(rng.uniform(0.0, 8.0, size))
+    v = 0.3 * np.exp(-1.3 * t + 0.01 * rng.standard_normal(size))
+    assert_exact_slope(t, v, (float(t[0]), float(t[-1])))
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("entropy-A", {"n": 3, "t_end": 0.02, "observe_every": 7}),
+    ("entropy-A", {"n": 200, "t_end": 0.02, "observe_every": 7}),
+    ("mass1", {"t_end": 0.02, "observe_every": 1}),
+    ("entropy-C", {"scheme": "implicit-entropy", "dt": 1e-3, "t_end": 0.05, "observe_every": 1}),
+], ids=["entropy-A-n3", "entropy-A-n200", "mass1", "implicit-entropy-C"])
+def test_fit_slope_of_a_run_is_the_exact_centered_formula(name, overrides):
+    summary, trajectory = execute(preset_config(name, overrides))
+    times, values = trajectory.times, trajectory.entropy
+    assert summary.fitted_rate is not None
+    assert_exact_slope(times, values, default_fit_window(times, values))
+
+
+@pytest.mark.parametrize("where", [[2], [20, 30]], ids=["before-the-window", "in-the-window"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rejects_a_non_finite_sample_by_name(bad, where):
+    # a NaN before the window made the roundoff floor NaN and hid the plateau
+    t = np.linspace(0.0, 1.0, 50)
+    v = np.maximum(np.exp(-40.0 * t), 1e-300)
+    v[where] = bad
+    first = where[0]
+    with pytest.raises(FitError, match=rf"value {bad} of sample {first} \(t={t[first]}\)"):
+        fit_exponential_rate(t, v, (0.1, 1.0))
+
+
+def test_fit_rejects_times_that_do_not_spread():
+    with pytest.raises(FitError, match="do not spread"):
+        fit_exponential_rate(np.zeros(20), np.ones(20), (0.0, 0.0))
+
+
+def test_fit_of_200001_samples_holds_at_most_four_window_arrays():
+    size = 200_001
+    t = np.linspace(0.0, 1.0, size)
+    v = np.exp(-2.0 * t) + 1e-3
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_exponential_rate(t, v, (0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * size

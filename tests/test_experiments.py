@@ -462,6 +462,26 @@ def test_gamma_sweep_runs_in_the_calling_process(monkeypatch):
     assert all(r.fitted_rate > 0 for r in rows)
 
 
+def test_the_run_path_calls_no_lapack(monkeypatch, tmp_path):
+    def lapack(*args, **kwargs):
+        raise AssertionError("the run path calls no LAPACK routine")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lapack)
+    monkeypatch.setattr(np.linalg, "svd", lapack)
+    short = {"t_end": 0.02, "observe_every": 7}
+    implicit = {"scheme": "implicit-entropy", "dt": 1e-3, "t_end": 0.05, "observe_every": 3}
+    for name, overrides in (("entropy-A", short), ("entropy-B", short), ("entropy-C", short),
+                            ("entropy-C", implicit)):
+        summary, _ = execute(preset_config(name, overrides))
+        assert summary.fit is not None
+    for name in ("mass1", "mass2"):
+        mass_evolution(name, out_dir=str(tmp_path / name),
+                       overrides={"t_end": 0.02, "observe_every": 1})
+        assert json.loads((tmp_path / name / "summary.json").read_text())["fitted_rate"] > 0
+    base = config_from_dict(dict(SWEEP_BASE, n=60, dt=5e-5, t_end=1.0, observe_every=200))
+    assert len(gamma_sweep(base, [0.0, 1.0], out_dir=str(tmp_path / "sweep"))) == 2
+
+
 def test_import_loads_no_process_pool():
     package_root = Path(experiments.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root))

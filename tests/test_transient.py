@@ -126,6 +126,31 @@ def test_step_explicit_rejects_unstable_dt():
         step_explicit(f, discretize(MODEL_A, g), 1e-3)
 
 
+def test_step_explicit_checks_the_positivity_certificate(monkeypatch):
+    # at max_dt the outflow of model A's half cell at x = 1 outweighs the
+    # drift: one step would turn rho_7 = 5 into -1.18
+    g = build_grid(8)
+    d = discretize(ModelSpec("A", 0.1, 2.0, PotentialSpec("scaled-linear", gamma=-3.0)), g)
+    rho = DensityField(5.0 * np.eye(8)[7], g)
+    with pytest.raises(StabilityError) as in_run:
+        run_transient(d, rho, SolverConfig(dt=d.max_dt, t_end=d.max_dt))
+    assert "T[7, 7] = -2.353e-01" in str(in_run.value)
+
+    def dense(*args):
+        raise AssertionError("one step builds no dense step matrix")
+
+    monkeypatch.setattr(_ExplicitStepper, "affine_matrix", dense)
+    with pytest.raises(StabilityError) as in_step:
+        step_explicit(rho, d, d.max_dt)
+    assert str(in_step.value) == str(in_run.value)
+    for model in (MODEL_A, MODEL_B):  # a dt inside the certificate steps as before
+        d = discretize(model, build_grid(200))
+        state = build_initial(InitialSpec("affine", a=-0.1, b=1.2), d.grid, model)
+        expected = state.values.copy()
+        _ExplicitStepper(d).step(expected, 5e-6)
+        assert step_explicit(state, d, 5e-6).values.tobytes() == expected.tobytes()
+
+
 def test_step_explicit_fixed_point_model_B():
     g = build_grid(200)
     d = discretize(MODEL_B, g)

@@ -11,7 +11,11 @@ every CSV or JSON file whose bytes differ between two such directories,
 the largest relative change of each column (CSV) or numeric field (JSON):
 
     PYTHONPATH=src python3 tools/artifact_hashes.py --out new > after.txt
-    python3 tools/artifact_hashes.py --compare old new
+    python3 tools/artifact_hashes.py --compare old new --max-rel 5e-14
+
+With ``--max-rel R`` the comparison exits 1 when a file is on one side
+only, a file differs in anything but its numbers (an SVG file in any
+byte), or a number moves by more than R relative.
 
 The set: the nine presets cut to t_end 0.02 at observer strides 1, 7 and
 1000 (presets with snapshots take them at 0, 0.005 and 0.02); entropy-C on
@@ -40,6 +44,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -102,52 +107,85 @@ def print_hashes(root: Path) -> None:
             print(f"{digest}  {path.relative_to(root)}")
 
 
-def _columns(path: Path) -> dict:
-    """Numeric columns of a CSV file, or numeric fields of a JSON file, by name."""
+def _fields(path: Path) -> tuple[dict, list]:
+    """Numeric columns of a CSV file, or numeric fields of a JSON file, by
+    name, and every other cell or field (the text) in order."""
+    numeric, text = {}, []
     if path.suffix == ".json":
-        def leaves(value, name):
+        def walk(value, name):
             if isinstance(value, dict):
                 for key, item in value.items():
-                    yield from leaves(item, f"{name}.{key}" if name else key)
+                    walk(item, f"{name}.{key}" if name else key)
             elif isinstance(value, list):
                 for i, item in enumerate(value):
-                    yield from leaves(item, f"{name}[{i}]")
+                    walk(item, f"{name}[{i}]")
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                yield name, [float(value)]
+                numeric[name] = [float(value)]
+            else:
+                text.append((name, value))
 
-        return dict(leaves(json.loads(path.read_text()), ""))
+        walk(json.loads(path.read_text()), "")
+        return numeric, text
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    return {name: [float(row[i]) for row in rows[1:]] for i, name in enumerate(rows[0])}
+        header, *rows = csv.reader(fh)
+    text.append(header)
+    for i, name in enumerate(header):
+        column = numeric[name] = []
+        for j, row in enumerate(rows):
+            try:
+                column.append(float(row[i]))
+            except ValueError:  # a text cell: NaN keeps the rows aligned
+                column.append(math.nan)
+                text.append((name, j, row[i]))
+    return numeric, text
 
 
 def _relative_change(old: float, new: float) -> float:
     if old == new or (math.isnan(old) and math.isnan(new)):
         return 0.0
-    return abs(new - old) / max(abs(old), abs(new))
+    change = abs(new - old) / max(abs(old), abs(new))
+    return change if math.isfinite(change) else math.inf  # a NaN or an infinity on one side
 
 
-def compare(old_root: Path, new_root: Path) -> None:
-    """Largest relative change per column of every CSV / JSON file that differs."""
-    for old in sorted(old_root.rglob("*")):
-        if old.suffix not in (".csv", ".json"):
-            continue
-        name = old.relative_to(old_root)
-        new = new_root / name
-        if not new.exists():
-            print(f"{name}: missing in {new_root}")
+def compare(old_root: Path, new_root: Path, max_rel: float = math.inf) -> bool:
+    """Print the largest relative change per numeric column or field of every
+    CSV / JSON file whose bytes differ; True when no file is missing on
+    either side, none differs in its text (SVG files: in any byte), and no
+    change exceeds ``max_rel``."""
+    names = {
+        path.relative_to(root)
+        for root in (old_root, new_root)
+        for path in root.rglob("*")
+        if path.suffix in (".csv", ".json", ".svg")
+    }
+    ok = True
+    for name in sorted(names):
+        old, new = old_root / name, new_root / name
+        if not (old.exists() and new.exists()):
+            print(f"{name}: missing in {new_root if old.exists() else old_root}")
+            ok = False
             continue
         if old.read_bytes() == new.read_bytes():
             continue
-        before, after = _columns(old), _columns(new)
+        if name.suffix == ".svg":
+            print(f"{name}: bytes differ")
+            ok = False
+            continue
+        (before, old_text), (after, new_text) = _fields(old), _fields(new)
+        if old_text != new_text:
+            print(f"{name}: non-numeric text differs")
+            ok = False
         for column in [*before, *(c for c in after if c not in before)]:
             a, b = before.get(column), after.get(column)
             if a is None or b is None or len(a) != len(b):
                 print(f"{name} {column}: present or sized differently")
+                ok = False
                 continue
             worst = max((_relative_change(x, y) for x, y in zip(a, b)), default=0.0)
             if worst:
                 print(f"{name} {column}: {worst:.3e}")
+                ok = ok and worst <= max_rel
+    return ok
 
 
 def main() -> None:
@@ -155,9 +193,14 @@ def main() -> None:
     parser.add_argument("--out", type=Path, help="write the artifacts here and keep them")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="compare two directories written with --out")
+    parser.add_argument("--max-rel", type=float, metavar="R",
+                        help="with --compare, exit 1 when a file is missing or differs "
+                        "in its text, or a numeric value moves by more than R relative")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
+        ok = compare(*args.compare, max_rel=math.inf if args.max_rel is None else args.max_rel)
+        if args.max_rel is not None and not ok:
+            sys.exit(1)
     elif args.out:
         write_all(args.out)
         print_hashes(args.out)
