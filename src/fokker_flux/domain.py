@@ -218,9 +218,9 @@ def discretize(model: ModelSpec, grid: Grid) -> Discretization:
     ``max_dt`` is the explicit stability bound ``dx^2 / (2 + dx sup|V'|)``
     of the transport alone: diffusion and the drift, the latter evaluated
     from the face slopes. It does not cover the reactions of models B and C
-    (rates up to ``beta e^{-V}`` and ``alpha + beta e^{-V}``): a rate far
-    above ``1 / max_dt`` needs a smaller step (model C at ``beta = 1e30``
-    diverges at ``max_dt / 2``).
+    (rates up to ``beta e^{-V}`` and ``alpha + beta e^{-V}``) nor the mesh
+    Peclet condition ``dx |V'| / 2 <= 1``, which the explicit scheme checks
+    when it starts.
 
     A potential so steep that ``exp(V)`` or ``exp(-V)`` is not finite and
     positive at a node or face raises InvalidModelError naming it.

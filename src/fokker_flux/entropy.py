@@ -218,8 +218,6 @@ class RateReport:
     intercept: float  # value of the fit at t = 0
     fit_window: tuple[float, float]
     r_squared: float
-    predicted_rate: float | None = None
-    predicted_provenance: str | None = None
 
 
 def default_fit_window(times: FloatArray, values: FloatArray) -> tuple[float, float]:
@@ -238,7 +236,6 @@ def fit_exponential_rate(
     times: FloatArray,
     values: FloatArray,
     window: tuple[float, float] | None = None,
-    prediction: RatePrediction | None = None,
 ) -> RateReport:
     """Fit ``value ~ intercept * exp(-slope * t)`` on a window by least squares.
 
@@ -295,6 +292,4 @@ def fit_exponential_rate(
         intercept=math.exp(y_mean - gradient * t_mean),
         fit_window=(float(lo), float(hi)),
         r_squared=r2,
-        predicted_rate=None if prediction is None else prediction.value,
-        predicted_provenance=None if prediction is None else prediction.provenance,
     )

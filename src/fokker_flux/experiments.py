@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain
 from pathlib import Path
@@ -33,7 +34,6 @@ from .domain import (
 )
 from .entropy import (
     RateReport,
-    default_fit_window,
     fit_exponential_rate,
     predicted_rate,
 )
@@ -258,10 +258,8 @@ def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, T
         keep_fields=keep_fields,
     )
     prediction = predicted_rate(d, reference.field, rho0=config.initial)
-    fit: Optional[RateReport] = None
-    try:
-        window = default_fit_window(trajectory.times, trajectory.entropy)
-        fit = fit_exponential_rate(trajectory.times, trajectory.entropy, window, prediction)
+    try:  # on the default window
+        fit = fit_exponential_rate(trajectory.times, trajectory.entropy)
     except FitError:
         fit = None
     # for model C the numeric solution is the closed form
@@ -296,105 +294,82 @@ def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, T
     return summary, trajectory
 
 
-def _rows(row: str, cells: Sequence[list]) -> str:
-    """``row`` filled in once per index of the equal-length lists ``cells``,
-    by one ``%`` over the format repeated."""
-    return row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
+def _write_artifacts(
+    out: Path, tables: dict, summary: Optional[dict] = None, charts: Optional[dict] = None
+) -> None:
+    """Write ``tables``, ``summary`` and ``charts`` into the directory ``out``,
+    made if missing.
 
-
-def _write_csv(path: Path, header: str, columns: Sequence) -> None:
-    """One row per index of the equal-length ``columns``, every value in full
-    double precision with a '.' decimal separator."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with path.open("w", encoding="utf-8") as out:
-        out.write(header + "\n")
-        for start in range(0, len(columns[0]), CSV_ROWS):
-            out.write(_rows(row, [c[start:start + CSV_ROWS].tolist() for c in columns]))
-
-
-_ENTROPY_HEADER = "t,entropy,mass,l1,residual"
-_MASS_HEADER = "t,mass,node_average_mass"
-
-
-def _write_entropy_csv(path: Path, trajectory: Trajectory) -> None:
-    tr = trajectory
-    _write_csv(path, _ENTROPY_HEADER, (tr.times, tr.entropy, tr.mass, tr.l1, tr.residual))
-
-
-def _write_mass_csv(path: Path, trajectory: Trajectory) -> None:
-    tr = trajectory
-    _write_csv(path, _MASS_HEADER, (tr.times, tr.mass, tr.node_mass))
-
-
-def _write_mass_and_entropy_csv(out: Path, trajectory: Trajectory) -> None:
-    """``mass.csv`` and ``entropy.csv`` in ``out``, the files the two writers
-    above write, ``CSV_ROWS`` rows at a time: the ``t`` and ``mass`` cells the
-    two share are formatted once."""
-    tr = trajectory
+    ``tables`` maps a CSV file name to ``(header, columns)``: one row per
+    index of the equal-length ``columns``, every value in full double
+    precision with a '.' decimal separator. The tables may differ in length.
+    They are written ``CSV_ROWS`` rows at a time, and a column array that
+    several tables share is formatted once per chunk. ``summary`` is the
+    payload of ``summary.json``; ``charts`` maps an SVG file name to the
+    arguments of ``line_chart``.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    # tuples hold every column for the whole call, so no two share an id
+    tables = {name: (header, tuple(columns)) for name, (header, columns) in tables.items()}
+    columns = [c for _, cols in tables.values() for c in cols]
+    shared = {id(c): c for c in columns if sum(c is other for other in columns) > 1}
     cell = "%.17g".__mod__
-    with (out / "mass.csv").open("w", encoding="utf-8") as mass, \
-            (out / "entropy.csv").open("w", encoding="utf-8") as ent:
-        mass.write(_MASS_HEADER + "\n")
-        ent.write(_ENTROPY_HEADER + "\n")
-        for start in range(0, len(tr.times), CSV_ROWS):
+    with ExitStack() as stack:
+        writers = []
+        for name, (header, cols) in tables.items():
+            file = stack.enter_context((out / name).open("w", encoding="utf-8"))
+            file.write(header + "\n")
+            row = ",".join("%s" if id(c) in shared else "%.17g" for c in cols) + "\n"
+            writers.append((file, row, cols))
+        for start in range(0, max(map(len, columns), default=0), CSV_ROWS):
             part = slice(start, start + CSV_ROWS)
-            t = list(map(cell, tr.times[part].tolist()))
-            m = list(map(cell, tr.mass[part].tolist()))
-            mass.write(_rows("%s,%s,%.17g\n", (t, m, tr.node_mass[part].tolist())))
-            ent.write(_rows("%s,%.17g,%s,%.17g,%.17g\n", (
-                t, tr.entropy[part].tolist(), m, tr.l1[part].tolist(), tr.residual[part].tolist()
-            )))
+            text = {key: list(map(cell, c[part].tolist())) for key, c in shared.items()}
+            for file, row, cols in writers:  # one % over the row format repeated
+                cells = [text[id(c)] if id(c) in text else c[part].tolist() for c in cols]
+                file.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+    if summary is not None:
+        (out / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    for name, chart in (charts or {}).items():
+        (out / name).write_text(line_chart(*chart), encoding="utf-8")
 
 
-def _write_snapshots_csv(path: Path, trajectory: Trajectory) -> None:
-    names = ["x", *(f"rho_t={t_req:g}" for t_req, _ in trajectory.snapshots), "rho_inf"]
-    columns = [
-        trajectory.final.grid.nodes,
-        *(snap.values for _, snap in trajectory.snapshots),
-        trajectory.reference.field.values,
-    ]
-    _write_csv(path, ",".join(names), columns)
-
-
-def _write_svgs(out: Path, trajectory: Trajectory) -> None:
-    grid = trajectory.final.grid
-    series = [
-        (f"t={t_req:g}", grid.nodes, snap.values)
-        for t_req, snap in trajectory.snapshots
-    ]
-    if not series:
-        series = [("final", grid.nodes, trajectory.final.values)]
-    series.append(("stationary", grid.nodes, trajectory.reference.field.values))
-    (out / "density.svg").write_text(
-        line_chart(series, "density snapshots", "x", "rho"), encoding="utf-8"
-    )
-    ent_series = [("entropy", trajectory.times, trajectory.entropy)]
-    (out / "entropy.svg").write_text(
-        line_chart(ent_series, "relative entropy decay", "t", "log10 entropy", log_y=True),
-        encoding="utf-8",
-    )
+def _series_tables(tr: Trajectory) -> dict:
+    """``entropy.csv`` and ``mass.csv``: the observer series, one row per sample."""
+    return {
+        "entropy.csv": ("t,entropy,mass,l1,residual",
+                        (tr.times, tr.entropy, tr.mass, tr.l1, tr.residual)),
+        "mass.csv": ("t,mass,node_average_mass", (tr.times, tr.mass, tr.node_mass)),
+    }
 
 
 def run(config: RunConfig, out_dir: Optional[str] = None) -> RunSummary:
     """Execute a configuration and write the requested artifacts."""
-    summary, trajectory = execute(config)
-    out = Path(out_dir if out_dir is not None else config.outputs)
-    out.mkdir(parents=True, exist_ok=True)
-    if "entropy" in config.emit and "mass" in config.emit:
-        _write_mass_and_entropy_csv(out, trajectory)
-    elif "entropy" in config.emit:
-        _write_entropy_csv(out / "entropy.csv", trajectory)
-    elif "mass" in config.emit:
-        _write_mass_csv(out / "mass.csv", trajectory)
-    if "snapshots" in config.emit:
-        _write_snapshots_csv(out / "snapshots.csv", trajectory)
-    if "summary" in config.emit:
-        (out / "summary.json").write_text(
-            json.dumps(summary_json_dict(summary), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if "svg" in config.emit:
-        _write_svgs(out, trajectory)
+    summary, tr = execute(config)
+    emit = config.emit
+    grid = tr.final.grid
+    tables = _series_tables(tr)
+    tables["snapshots.csv"] = (
+        ",".join(["x", *(f"rho_t={t_req:g}" for t_req, _ in tr.snapshots), "rho_inf"]),
+        [grid.nodes, *(snap.values for _, snap in tr.snapshots), tr.reference.field.values],
+    )
+    charts = {}
+    if "svg" in emit:
+        density = [(f"t={t_req:g}", grid.nodes, snap.values) for t_req, snap in tr.snapshots]
+        density = density or [("final", grid.nodes, tr.final.values)]
+        density.append(("stationary", grid.nodes, tr.reference.field.values))
+        charts = {
+            "density.svg": (density, "density snapshots", "x", "rho"),
+            "entropy.svg": ([("entropy", tr.times, tr.entropy)], "relative entropy decay",
+                            "t", "log10 entropy", True),
+        }
+    _write_artifacts(
+        Path(out_dir if out_dir is not None else config.outputs),
+        {name: table for name, table in tables.items() if name.removesuffix(".csv") in emit},
+        summary_json_dict(summary) if "summary" in emit else None,
+        charts,
+    )
     return summary
 
 
@@ -560,22 +535,12 @@ def mass_evolution(
         trajectory=trajectory,
     )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_mass_and_entropy_csv(out, trajectory)
         payload = summary_json_dict(summary)
         payload["mass_evolution"] = report.json_dict()
-        (out / "summary.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        if "svg" in config.emit:
-            (out / "mass.svg").write_text(
-                line_chart(
-                    [("node-average mass", trajectory.times, trajectory.node_mass)],
-                    "mass evolution", "t", "mass",
-                ),
-                encoding="utf-8",
-            )
+        series = [("node-average mass", trajectory.times, trajectory.node_mass)]
+        charts = {"mass.svg": (series, "mass evolution", "t", "mass")}
+        _write_artifacts(Path(out_dir), _series_tables(trajectory), payload,
+                         charts if "svg" in config.emit else None)
     return report
 
 
@@ -625,8 +590,6 @@ def gamma_sweep(
             rows.append(_sweep_member(base.raw, g))
     finally:
         if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             table = np.array([(r.gamma, r.fitted_rate, r.r_squared) for r in rows]).reshape(-1, 3)
-            _write_csv(out / "sweep.csv", "gamma,fitted_rate,r_squared", table.T)
+            _write_artifacts(Path(out_dir), {"sweep.csv": ("gamma,fitted_rate,r_squared", table.T)})
     return rows

@@ -60,7 +60,7 @@ class SolverConfig:
     ``observe_every`` is the step stride of the observer samples; the
     explicit scheme additionally requires ``dt <= Discretization.max_dt``
     and, for models A and B, a step matrix ``T >= 0`` (the positivity
-    certificate).
+    certificate), for model C the checks of ``_check_cfl``.
     """
 
     dt: float
@@ -162,12 +162,42 @@ CHORD_MAX_N = 400
 CHORD_CONTRACTION = 0.02
 
 
+def _check_peclet(d: Discretization, failure: str) -> None:
+    """Raise StabilityError, after ``failure``, if the mesh Peclet number
+    ``dx |V'| / 2`` exceeds 1 at a face: an off-diagonal entry of the
+    explicit step is then negative at every dt. For the linear kinds the
+    error names the smallest n that passes."""
+    peclet = 0.5 * d.grid.dx * np.abs(d.slope)
+    f = int(np.argmax(peclet))
+    if not peclet[f] > 1.0:
+        return
+    slope = abs(float(d.slope[f]))
+    n = math.ceil(slope / 2.0) + 1
+    while 0.5 * (1.0 / (n - 1)) * slope > 1.0:  # as the faces compute it
+        n += 1
+    raise StabilityError(
+        f"{failure}the mesh Peclet number dx*|V'|/2 = {peclet[f]:.6g} between nodes {f} "
+        f"and {f + 1} is above 1, so no dt keeps the explicit step positive; "
+        + ("tabulate V on a finer grid" if d.model.potential.kind == "tabulated"
+           else f"refine the grid to n >= {n}")
+    )
+
+
 def _check_cfl(d: Discretization, dt: float) -> None:
+    """``dt <= d.max_dt``; for model C, which has no step-matrix certificate,
+    also the mesh Peclet condition and ``dt max(alpha + beta e^{-V}) <= 1``."""
+    model = d.model
+    if model.crowded:
+        _check_peclet(d, "")
     if dt > d.max_dt:
         raise StabilityError(
             f"dt={dt} exceeds the explicit stability bound {d.max_dt:.6e}; "
             "lower dt (run configurations accept dt='auto' for half the bound)"
         )
+    rate = model.alpha + model.beta * float(d.exp_neg_v.max())
+    if model.crowded and dt * rate > 1.0:
+        raise StabilityError(f"dt={dt} breaks the reaction bound dt*max(alpha + "
+                             f"beta*exp(-V)) <= 1 of model C; lower dt to {1.0 / rate:.6e}")
 
 
 def flux_field(rho: DensityField, d: Discretization) -> FluxField:
@@ -283,6 +313,9 @@ class _ExplicitStepper:
         if not (band.min() >= -_ROUNDOFF and c.min() >= 0.0):
             i, k = divmod(int(np.argmin(band)), 3)
             j = i + k - 1
+            if k != 1 and band[i, k] < -_ROUNDOFF:
+                _check_peclet(self.d, f"the off-diagonal entry T[{i}, {j}] = "
+                                      f"{band[i, k]:.3e} of the explicit step is negative: ")
             raise StabilityError(
                 f"dt={dt} breaks the positivity bound T >= 0 (to -{_ROUNDOFF:g}), c >= 0 "
                 f"of the explicit step rho -> T rho + c: T[{i}, {j}] = {band[i, k]:.3e}, "

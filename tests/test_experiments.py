@@ -29,7 +29,7 @@ from fokker_flux import (
 )
 import fokker_flux.experiments as experiments
 from fokker_flux.cli import main
-from fokker_flux.experiments import CSV_ROWS, _write_csv
+from fokker_flux.experiments import CSV_ROWS, _write_artifacts
 from fokker_flux.transient import _ExplicitStepper
 
 TINY = {
@@ -225,21 +225,22 @@ def test_csv_cells_are_formatted_per_value(tmp_path):
                        1e300, 123456789.0, math.pi, -math.inf, math.nan, 7.0])
     columns = (values[:6], values[6:])
     path = tmp_path / "cells.csv"
-    _write_csv(path, "a,b", columns)
+    _write_artifacts(tmp_path, {"cells.csv": ("a,b", columns)})
     expected = ["a,b"] + [f"{a:.17g},{b:.17g}" for a, b in zip(*columns)]
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
-    _write_csv(path, "a,b", (values[:0], values[:0]))
+    _write_artifacts(tmp_path, {"cells.csv": ("a,b", (values[:0], values[:0]))})
     assert path.read_text(encoding="utf-8") == "a,b\n"
     # rows are formatted CSV_ROWS at a time: every row once, in order
     long = np.random.default_rng(2).standard_normal((3, 2 * CSV_ROWS + 3)) * 1e3
-    _write_csv(path, "p,q,r", long)
+    _write_artifacts(tmp_path, {"cells.csv": ("p,q,r", long)})
     expected = ["p,q,r"] + [",".join(f"{v:.17g}" for v in row) for row in long.T]
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
 def test_mass_and_entropy_csv_are_formatted_per_value(tmp_path):
-    # the joint writer formats the shared t and mass cells once; both files
-    # still read what a per-cell f"{v:.17g}" writes, across CSV_ROWS chunks
+    # the two series tables share the t and mass arrays, whose cells are
+    # formatted once; both files still read what a per-cell f"{v:.17g}"
+    # writes, across CSV_ROWS chunks
     awkward = [0.0, -0.0, 1 / 3, -2.5e-7, 5e-324, 2.2250738585072014e-308,
                1e300, 123456789.0, math.pi, -math.inf, math.nan, 7.0]
     rows = 2 * CSV_ROWS + 3
@@ -249,7 +250,7 @@ def test_mass_and_entropy_csv_are_formatted_per_value(tmp_path):
     series["times"][:12] = awkward
     series["mass"][-12:] = awkward[::-1]
     trajectory = types.SimpleNamespace(**series)
-    experiments._write_mass_and_entropy_csv(tmp_path, trajectory)
+    _write_artifacts(tmp_path, experiments._series_tables(trajectory))
     for name, header, columns in (
         ("mass.csv", "t,mass,node_average_mass", ("times", "mass", "node_mass")),
         ("entropy.csv", "t,entropy,mass,l1,residual",
@@ -259,13 +260,42 @@ def test_mass_and_entropy_csv_are_formatted_per_value(tmp_path):
         expected = [header] + [",".join(f"{v:.17g}" for v in row) for row in cells]
         assert (tmp_path / name).read_text(encoding="utf-8") == "\n".join(expected) + "\n"
     empty = types.SimpleNamespace(**{name: values[:0] for name, values in series.items()})
-    experiments._write_mass_and_entropy_csv(tmp_path, empty)
+    _write_artifacts(tmp_path, experiments._series_tables(empty))
     assert (tmp_path / "mass.csv").read_text(encoding="utf-8") == "t,mass,node_average_mass\n"
 
 
+def test_tables_of_different_lengths_share_a_column(tmp_path):
+    # a shared column sits at any place of its tables, a table may be shorter
+    # than a chunk or empty, and the same writer makes the directory and
+    # writes the summary and the charts
+    rng = np.random.default_rng(5)
+    t, a, b = rng.standard_normal((3, 2 * CSV_ROWS + 3))
+    t[:3] = [-0.0, 5e-324, math.nan]
+    short = rng.standard_normal(5)
+    tables = {
+        "first.csv": ("t,a", (t, a)),
+        "second.csv": ("b,t,t", (b, t, t)),
+        "short.csv": ("s", (short,)),
+        "none.csv": ("z", (short[:0],)),
+    }
+    out = tmp_path / "made" / "here"
+    chart = ([("s", np.arange(5.0), short)], "s", "i", "s", True)
+    _write_artifacts(out, tables, {"b": [1, None], "a": 0.5}, {"s.svg": chart})
+    for name, (header, columns) in tables.items():
+        expected = [header] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+        assert (out / name).read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    assert (out / "summary.json").read_text(encoding="utf-8") == (
+        '{\n  "a": 0.5,\n  "b": [\n    1,\n    null\n  ]\n}\n'
+    )
+    assert (out / "s.svg").read_text(encoding="utf-8") == experiments.line_chart(*chart)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "first.csv", "none.csv", "s.svg", "second.csv", "short.csv", "summary.json",
+    ]
+
+
 def test_run_and_mass_evolution_write_the_same_series(tmp_path):
-    # run writes both series with the joint writer when emit asks for both,
-    # each alone with its own writer; mass_evolution always writes both
+    # run writes the series that emit asks for, both or each alone;
+    # mass_evolution always writes both
     overrides = {"n": 40, "t_end": 0.02, "observe_every": 1}
     mass_evolution("mass1", out_dir=str(tmp_path / "m"), overrides=overrides)
     run(preset_config("mass1", overrides), out_dir=str(tmp_path / "r"))
@@ -576,6 +606,42 @@ def test_cli_dt_breaking_positivity_exits_2(tmp_path, capsys):
     assert code == 2
     assert "T >= 0" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("dt", ["\"auto\"", "1e-9"])
+def test_cli_mesh_peclet_above_one_names_the_grid_exits_2(tmp_path, capsys, dt):
+    # V' = 16 on n = 8: dx |V'| / 2 = 8/7, so T[0, 1] < 0 at every dt;
+    # n = 9 brings it to 1
+    code = main(["preset", "entropy-A", "--out", str(tmp_path / "x"), "--set", "n=8",
+                 "--set", 'potential="scaled-linear"', "--set", "gamma=16", "--set", f"dt={dt}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "off-diagonal entry T[0, 1] = -" in err
+    assert "mesh Peclet number dx*|V'|/2 = 1.14286" in err
+    assert "refine the grid to n >= 9" in err and "lower dt" not in err
+    assert not (tmp_path / "x").exists()
+    code = main(["preset", "entropy-A", "--out", str(tmp_path / "y"), "--set", "n=9",
+                 "--set", 'potential="scaled-linear"', "--set", "gamma=16",
+                 "--set", "t_end=0.001"])
+    assert code == 0
+
+
+def test_cli_model_C_reaction_bound_exits_2(tmp_path, capsys):
+    # beta = 1e30: dt 1e-4 is inside max_dt, but dt (alpha + beta e^{-V}) > 1
+    # would turn the density negative and then non-finite
+    code = main(["preset", "entropy-C", "--out", str(tmp_path / "x"), "--set", "n=10",
+                 "--set", "dt=1e-4", "--set", "t_end=0.01", "--set", "beta=1e30"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: dt=0.0001 breaks the reaction bound" in err
+    assert "lower dt to 1.000000e-30" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_model_C_mesh_peclet_is_checked():
+    with pytest.raises(StabilityError, match=r"Peclet.*1\.14286.*n >= 9"):
+        execute(preset_config("entropy-C", {"n": 8, "potential": "scaled-linear",
+                                            "gamma": -16, "t_end": 0.001}))
 
 
 def test_cli_unallocatable_sample_series_exits_2(tmp_path, capsys):

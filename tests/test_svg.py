@@ -169,8 +169,10 @@ def test_line_chart_bytes_unchanged(name, log_y):
 @pytest.mark.parametrize("log_y", [False, True])
 def test_line_chart_memory_is_bounded_by_its_text(log_y):
     # one string per point (about 70 bytes with its list slot, for 13-14 bytes
-    # of text) peaks near 8 times the text on a linear axis and 9 on a log one
-    t = np.linspace(0.0, 2.0, 200_001)
+    # of text) peaks near 16 times the text (old_line_chart); line_chart peaks
+    # near 3 times it on a linear axis and 4 on a log one, at 20 001 points as
+    # at 200 001
+    t = np.linspace(0.0, 2.0, 20_001)
     y = np.exp(-t) * (1.0 + 0.5 * np.sin(40.0 * t))
     tracemalloc.start()
     try:
