@@ -73,7 +73,6 @@ from .stationary import (
 )
 from .transient import (
     FluxField,
-    NewtonConfig,
     SolverConfig,
     Trajectory,
     flux_field,

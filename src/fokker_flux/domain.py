@@ -210,6 +210,7 @@ class Discretization:
     exp_v_faces: FloatArray  # exp(V) at the faces
     volumes: FloatArray  # Grid.volumes
     max_dt: float  # stability bound of the explicit scheme
+    decay: Optional[FloatArray]  # reaction rate at the nodes; None for model A
 
 
 def discretize(model: ModelSpec, grid: Grid) -> Discretization:
@@ -217,8 +218,9 @@ def discretize(model: ModelSpec, grid: Grid) -> Discretization:
 
     ``max_dt`` is the explicit stability bound ``dx^2 / (2 + dx sup|V'|)``
     of the transport alone: diffusion and the drift, the latter evaluated
-    from the face slopes. It does not cover the reactions of models B and C
-    (rates up to ``beta e^{-V}`` and ``alpha + beta e^{-V}``) nor the mesh
+    from the face slopes. It does not cover the reactions ``alpha - decay rho``
+    of models B and C, whose rates ``decay`` (``beta e^{-V}`` and ``alpha +
+    beta e^{-V}``; None for model A) are computed here once, nor the mesh
     Peclet condition ``dx |V'| / 2 <= 1``, which the explicit scheme checks
     when it starts.
 
@@ -241,6 +243,9 @@ def discretize(model: ModelSpec, grid: Grid) -> Discretization:
                 "exp(V) and exp(-V) must be finite and positive"
             )
     max_dt = grid.dx**2 / (2.0 + grid.dx * float(np.max(np.abs(slope))))
+    decay = None if model.model == "A" else model.beta * exp_neg_v
+    if model.crowded:
+        decay = model.alpha + decay
     return Discretization(
         model, grid, v, v_faces, slope,
         exp_neg_v=_readonly(exp_neg_v),
@@ -248,6 +253,7 @@ def discretize(model: ModelSpec, grid: Grid) -> Discretization:
         exp_v_faces=_readonly(exp_v_faces),
         volumes=grid.volumes,
         max_dt=max_dt,
+        decay=None if decay is None else _readonly(decay),
     )
 
 
@@ -282,11 +288,7 @@ class DensityField:
                     f"node {i} has value {vals[i]}"
                 )
         else:
-            lo, hi = (0.0, 1.0)
-            if strict_box:
-                bad = (vals <= lo) | (vals >= hi)
-            else:
-                bad = (vals < lo) | (vals > hi)
+            bad = (vals <= 0.0) | (vals >= 1.0) if strict_box else (vals < 0.0) | (vals > 1.0)
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise InvalidInitialError(
@@ -348,5 +350,11 @@ def build_initial(spec: InitialSpec, grid: Grid, model: ModelSpec) -> DensityFie
         field_ = DensityField(spec.values.copy(), grid)  # ShapeError off the grid
     else:
         field_ = DensityField(_sample_initial(spec, grid.nodes), grid)
-    field_.validate_for_model(model, strict_box=model.model == "C")
+    try:
+        field_.validate_for_model(model, strict_box=model.model == "C")
+    except InvalidInitialError as err:
+        if spec.kind != "parabola":  # else model C on an odd-n grid
+            raise
+        raise InvalidInitialError(f"{err}; the parabola equals 1 at x = 1/2, which is a node "
+                                  "of every odd-n grid: use an even n") from None
     return field_

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,15 +39,6 @@ from .stationary import StationarySolution, nodal_residual, stationary_numeric
 from .tridiag import invert_tridiagonal, solve_tridiagonal
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Damped-Newton settings for the implicit entropy scheme."""
-
-    max_iter: int = 50
-    tolerance: float = 1e-10
-    max_backtracks: int = 8
-
-
 # step indices are int64 (``np.arange(first, end) * stride``): the step
 # count and the stride stay below this
 _STEP_LIMIT = 2**63
@@ -60,14 +51,14 @@ class SolverConfig:
     ``observe_every`` is the step stride of the observer samples; the
     explicit scheme additionally requires ``dt <= Discretization.max_dt``
     and, for models A and B, a step matrix ``T >= 0`` (the positivity
-    certificate), for model C the checks of ``_check_cfl``.
+    certificate), for model C the checks of ``_check_cfl``. The implicit
+    scheme's Newton settings are the module's ``NEWTON_*`` constants.
     """
 
     dt: float
     t_end: float
     observe_every: int = 1000
     scheme: str = "explicit"
-    newton: NewtonConfig = dataclass_field(default_factory=NewtonConfig)
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -160,6 +151,11 @@ CHORD_MAX_N = 400
 # chord iterations (about 27 us each) per step; the run times (medians of 11
 # interleaved runs, 0.32-0.34 s) differed by less than their spread.
 CHORD_CONTRACTION = 0.02
+# Damped Newton: at most NEWTON_MAX_ITER iterations (chord ones included) to bring
+# sup|G/vol| below NEWTON_TOLERANCE, each halving its step at most NEWTON_MAX_BACKTRACKS times.
+NEWTON_MAX_ITER = 50
+NEWTON_TOLERANCE = 1e-10
+NEWTON_MAX_BACKTRACKS = 8
 
 
 def _check_peclet(d: Discretization, failure: str) -> None:
@@ -185,19 +181,25 @@ def _check_peclet(d: Discretization, failure: str) -> None:
 
 def _check_cfl(d: Discretization, dt: float) -> None:
     """``dt <= d.max_dt``; for model C, which has no step-matrix certificate,
-    also the mesh Peclet condition and ``dt max(alpha + beta e^{-V}) <= 1``."""
-    model = d.model
-    if model.crowded:
+    also the mesh Peclet condition and the reaction bound ``dt max(d.decay) <= 1``."""
+    if d.model.crowded:
         _check_peclet(d, "")
     if dt > d.max_dt:
         raise StabilityError(
             f"dt={dt} exceeds the explicit stability bound {d.max_dt:.6e}; "
             "lower dt (run configurations accept dt='auto' for half the bound)"
         )
-    rate = model.alpha + model.beta * float(d.exp_neg_v.max())
-    if model.crowded and dt * rate > 1.0:
-        raise StabilityError(f"dt={dt} breaks the reaction bound dt*max(alpha + "
-                             f"beta*exp(-V)) <= 1 of model C; lower dt to {1.0 / rate:.6e}")
+    if d.model.crowded:
+        _check_reaction(d, dt)
+
+
+def _check_reaction(d: Discretization, dt: float) -> None:
+    """Raise StabilityError if ``dt max(d.decay) > 1`` (models B and C)."""
+    rate = float(d.decay.max())
+    if dt * rate > 1.0:
+        raise StabilityError(
+            f"dt={dt} breaks the reaction bound dt*max({'alpha + ' if d.model.crowded else ''}"
+            f"beta*exp(-V)) <= 1 of model {d.model.model}; lower dt to {1.0 / rate:.6e}")
 
 
 def flux_field(rho: DensityField, d: Discretization) -> FluxField:
@@ -226,7 +228,7 @@ class _ExplicitStepper:
     """Preallocated one-step kernel shared by step_explicit, run_transient and flux_field."""
 
     def __init__(self, d: Discretization):
-        model = self.model = d.model
+        self.model = d.model
         self.d = d
         n = d.grid.n
         self.inv_dx = 1.0 / d.grid.dx
@@ -235,13 +237,7 @@ class _ExplicitStepper:
         self.mean = np.empty(n - 1)
         self.tmp = np.empty(n - 1)
         self.div = np.empty(n)
-        self.react = np.empty(n) if model.model in ("B", "C") else None
-        if model.model == "B":
-            self.decay = model.beta * d.exp_neg_v
-        elif model.model == "C":
-            self.decay = model.alpha + model.beta * d.exp_neg_v
-        else:
-            self.decay = None
+        self.react = None if d.decay is None else np.empty(n)
 
     def fluxes(self, rho: FloatArray) -> FloatArray:
         """Face fluxes at ``rho``, boundary faces included, written into ``faces``.
@@ -271,7 +267,7 @@ class _ExplicitStepper:
         self.div *= dt
         rho -= self.div
         if self.react is not None:
-            np.multiply(rho, self.decay, out=self.react)
+            np.multiply(rho, self.d.decay, out=self.react)
             np.subtract(np.float64(self.model.alpha), self.react, out=self.react)
             self.react *= dt
             rho += self.react
@@ -296,7 +292,7 @@ class _ExplicitStepper:
 
         Raises StabilityError unless ``T >= 0`` entrywise (up to roundoff)
         and ``c >= 0``: with that certificate every iterate of nonnegative
-        data is nonnegative.
+        data is nonnegative. The error names a broken Peclet or reaction bound.
         """
         n = self.d.grid.n
         band = np.empty((n, 3))
@@ -316,6 +312,8 @@ class _ExplicitStepper:
             if k != 1 and band[i, k] < -_ROUNDOFF:
                 _check_peclet(self.d, f"the off-diagonal entry T[{i}, {j}] = "
                                       f"{band[i, k]:.3e} of the explicit step is negative: ")
+            if self.d.decay is not None:
+                _check_reaction(self.d, dt)
             raise StabilityError(
                 f"dt={dt} breaks the positivity bound T >= 0 (to -{_ROUNDOFF:g}), c >= 0 "
                 f"of the explicit step rho -> T rho + c: T[{i}, {j}] = {band[i, k]:.3e}, "
@@ -433,15 +431,14 @@ class _ImplicitStepper:
     stops contracting (see :meth:`_newton`).
     """
 
-    def __init__(self, d: Discretization, newton: NewtonConfig):
+    def __init__(self, d: Discretization):
         if d.model.model != "C":
             raise InvalidModelError("the entropy-variable scheme applies to model C")
         self.dx = d.grid.dx
-        self.newton = newton
         self.v, self.vol = d.v, d.volumes
-        # the reaction alpha - rho decay, decay as in _ExplicitStepper, times vol
+        # the reaction alpha - rho decay, times vol
         self.vol_alpha = self.vol * d.model.alpha
-        self.vol_decay = self.vol * (d.model.alpha + d.model.beta * d.exp_neg_v)
+        self.vol_decay = self.vol * d.decay
         n = d.grid.n
         # work arrays; what _residual returns is fresh, so a discarded trial
         # never overwrites the kept iterate
@@ -472,7 +469,7 @@ class _ImplicitStepper:
     def _balance(self, rho_old: FloatArray, dt: float):
         """The terms of the cell balances that depend only on ``(rho_old, dt)``:
         ``coef = vol/dt + vol decay`` and ``base = vol alpha - vol decay rho_old``,
-        with ``decay = alpha + beta e^{-V}``. ``coef`` is held with the ``dt``
+        with ``decay = Discretization.decay``. ``coef`` is held with the ``dt``
         it was formed for (``coef_dt``) and formed again only for another
         ``dt``; ``base`` is new in every call."""
         if self.coef_dt != dt:
@@ -546,25 +543,24 @@ class _ImplicitStepper:
         ``CHORD_CONTRACTION``; the first that does neither is discarded, and
         damped Newton continues from the last kept iterate, its first
         Jacobian replacing the inverse. Chord and Newton iterations share
-        ``max_iter``.
+        ``NEWTON_MAX_ITER``; the settings are read at each call.
         """
-        cfg = self.newton
         coef, base = self._balance(rho_old, dt)
         G, rho = self._residual(u, rho_old, coef, base)
         norm = self._norm(G)
         iterations = 0
         if chord and self.inverse_dt == dt:
-            while iterations < cfg.max_iter and not norm < cfg.tolerance:
+            while iterations < NEWTON_MAX_ITER and not norm < NEWTON_TOLERANCE:
                 iterations += 1
                 self.chord_iterations += 1
                 trial = u - self.inverse @ G
                 trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
                 trial_norm = self._norm(trial_G)
-                if not (trial_norm < cfg.tolerance or trial_norm <= CHORD_CONTRACTION * norm):
+                if not (trial_norm < NEWTON_TOLERANCE or trial_norm <= CHORD_CONTRACTION * norm):
                     break
                 u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
-        for _ in range(cfg.max_iter - iterations):
-            if norm < cfg.tolerance:
+        for _ in range(NEWTON_MAX_ITER - iterations):
+            if norm < NEWTON_TOLERANCE:
                 return rho, u
             self.solves += 1
             jacobian = self._jacobian(u, rho, coef)
@@ -578,8 +574,8 @@ class _ImplicitStepper:
                     f"singular Newton Jacobian ({err}; residual {norm:.3e})", residual=norm
                 ) from err
             damping = 1.0
-            # max_backtracks trials; without a decrease the next, smaller step is taken as is
-            for _ in range(cfg.max_backtracks + 1):
+            # NEWTON_MAX_BACKTRACKS trials; without a decrease the next, smaller step is taken as is
+            for _ in range(NEWTON_MAX_BACKTRACKS + 1):
                 trial = u + damping * delta
                 trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
                 trial_norm = self._norm(trial_G)
@@ -587,10 +583,10 @@ class _ImplicitStepper:
                     break
                 damping *= 0.5
             u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
-        if norm < cfg.tolerance:
+        if norm < NEWTON_TOLERANCE:
             return rho, u
         raise StepFailureError(
-            f"Newton did not reach {cfg.tolerance} within {cfg.max_iter} iterations "
+            f"Newton did not reach {NEWTON_TOLERANCE} within {NEWTON_MAX_ITER} iterations "
             f"(residual {norm:.3e})",
             residual=norm,
         )
@@ -606,7 +602,7 @@ class _ImplicitStepper:
         iterations and forms the inverse (while ``n <= CHORD_MAX_N``); the
         retry and a solve without a guess are plain damped Newton. The
         entropy variable returned is ``guess`` itself when ``guess`` meets
-        the tolerance.
+        ``NEWTON_TOLERANCE``.
         """
         if guess is not None:
             try:
@@ -640,12 +636,7 @@ def _extrapolate(history, out: FloatArray | None = None) -> FloatArray:
     return start
 
 
-def step_implicit_entropy(
-    rho: DensityField,
-    d: Discretization,
-    dt: float,
-    newton: NewtonConfig | None = None,
-) -> DensityField:
+def step_implicit_entropy(rho: DensityField, d: Discretization, dt: float) -> DensityField:
     """One backward-Euler step of the entropy-variable scheme (model C) on ``d``.
 
     The previous state must lie on ``d.grid`` and strictly inside (0, 1);
@@ -653,7 +644,7 @@ def step_implicit_entropy(
     """
     field_ = DensityField(rho.values, d.grid)
     field_.validate_for_model(d.model, strict_box=True)
-    stepper = _ImplicitStepper(d, newton or NewtonConfig())
+    stepper = _ImplicitStepper(d)
     return DensityField(stepper.step(field_.values, dt), d.grid)
 
 
@@ -800,7 +791,7 @@ def run_transient(
     dt = config.dt
     steps = int(round(config.t_end / dt))
     if implicit:
-        stepper = _ImplicitStepper(d, config.newton)
+        stepper = _ImplicitStepper(d)
     else:
         _check_cfl(d, dt)
         stepper = _ExplicitStepper(d)

@@ -157,7 +157,7 @@ def test_initial_box_validation_names_node():
     # with an odd node count x = 0.5 is a node and the parabola touches 1
     g = build_grid(201)
     mc = ModelSpec("C", 1.0, 0.9)
-    with pytest.raises(InvalidInitialError, match="node 100"):
+    with pytest.raises(InvalidInitialError, match=r"node 100.*x = 1/2.*use an even n"):
         build_initial(InitialSpec("parabola"), g, mc)
 
 

@@ -638,6 +638,18 @@ def test_cli_model_C_reaction_bound_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_model_B_reaction_bound_exits_2(tmp_path, capsys):
+    # beta = 1e30: the certificate T >= 0 fails at half the transport bound,
+    # and the error names the broken reaction bound, not a step-matrix entry
+    code = main(["preset", "entropy-B", "--out", str(tmp_path / "x"), "--set", "n=10",
+                 "--set", "t_end=0.01", "--set", "beta=1e30", "--set", 'dt="auto"'])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "breaks the reaction bound dt*max(beta*exp(-V)) <= 1 of model B" in err
+    assert "lower dt to 1.000000e-30" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_model_C_mesh_peclet_is_checked():
     with pytest.raises(StabilityError, match=r"Peclet.*1\.14286.*n >= 9"):
         execute(preset_config("entropy-C", {"n": 8, "potential": "scaled-linear",

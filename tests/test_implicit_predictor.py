@@ -28,17 +28,16 @@ MODEL_C = ModelSpec("C", 1.0, 0.9, PotentialSpec("linear"))
 
 
 def constant_start_step(stepper, rho_old, dt):
-    cfg = stepper.newton
     u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
     coef, base = stepper._balance(rho_old, dt)
     G, rho = stepper._residual(u, rho_old, coef, base)
     norm = stepper._norm(G)
-    for _ in range(cfg.max_iter):
-        if norm < cfg.tolerance:
+    for _ in range(transient.NEWTON_MAX_ITER):
+        if norm < transient.NEWTON_TOLERANCE:
             return rho
         delta = transient.solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
         damping = 1.0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(transient.NEWTON_MAX_BACKTRACKS + 1):
             trial = u + damping * delta
             trial_G, trial_rho = stepper._residual(trial, rho_old, coef, base)
             trial_norm = stepper._norm(trial_G)
@@ -46,7 +45,7 @@ def constant_start_step(stepper, rho_old, dt):
                 break
             damping *= 0.5
         u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
-    assert norm < cfg.tolerance
+    assert norm < transient.NEWTON_TOLERANCE
     return rho
 
 
@@ -182,7 +181,7 @@ def test_cubic_start_counts_on_the_benchmark_configuration(monkeypatch):
 def test_failed_extrapolated_start_is_retried_from_previous_state(monkeypatch):
     g = build_grid(60)
     rho_old = np.random.default_rng(4).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
+    stepper = _ImplicitStepper(discretize(MODEL_C, g))
     want = constant_start_step(stepper, rho_old, 1e-2)
     thomas = transient.solve_tridiagonal
     calls = []
@@ -210,7 +209,7 @@ def test_run_with_failing_predictor_is_the_constant_start_run(monkeypatch):
     _, traj = execute(config)
     assert np.array_equal(traj.final.values, ref.final.values)
     assert np.array_equal(traj.entropy, ref.entropy)
-    max_iter = transient.NewtonConfig().max_iter
+    max_iter = transient.NEWTON_MAX_ITER
     assert traj.newton_max_per_step > max_iter
     assert traj.newton_iterations > (traj.steps - 1) * max_iter
 
@@ -257,16 +256,15 @@ def plain_newton(stepper, u, rho_old, dt):
     """Damped Newton from ``u`` with no chord iterations: the new density
     and the accepted iterate, as the implicit step made them before it held
     a Jacobian inverse."""
-    cfg = stepper.newton
     coef, base = stepper._balance(rho_old, dt)
     G, rho = stepper._residual(u, rho_old, coef, base)
     norm = stepper._norm(G)
-    for _ in range(cfg.max_iter):
-        if norm < cfg.tolerance:
+    for _ in range(transient.NEWTON_MAX_ITER):
+        if norm < transient.NEWTON_TOLERANCE:
             return rho, u
         delta = transient.solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
         damping = 1.0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(transient.NEWTON_MAX_BACKTRACKS + 1):
             trial = u + damping * delta
             trial_G, trial_rho = stepper._residual(trial, rho_old, coef, base)
             trial_norm = stepper._norm(trial_G)
@@ -274,7 +272,7 @@ def plain_newton(stepper, u, rho_old, dt):
                 break
             damping *= 0.5
         u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
-    if norm < cfg.tolerance:
+    if norm < transient.NEWTON_TOLERANCE:
         return rho, u
     raise StepFailureError(f"no convergence (residual {norm:.3e})", residual=norm)
 
@@ -317,7 +315,7 @@ def test_bad_held_inverse_falls_back_to_newton():
     g = build_grid(60)
     dt = 1e-2
     rho_old = np.random.default_rng(6).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
+    stepper = _ImplicitStepper(discretize(MODEL_C, g))
     guess = stepper.entropy_variable(rho_old) + 0.05
     coef, base = stepper._balance(rho_old, dt)
     G, rho = stepper._residual(guess, rho_old, coef, base)
@@ -326,7 +324,7 @@ def test_bad_held_inverse_falls_back_to_newton():
     rho, u = stepper.solve(rho_old, dt, guess)
     assert stepper.chord_iterations == 1  # the one trial, discarded
     assert stepper.solves >= 1
-    assert stepper._norm(stepper._residual(u, rho_old, coef, base)[0]) < stepper.newton.tolerance
+    assert stepper._norm(stepper._residual(u, rho_old, coef, base)[0]) < transient.NEWTON_TOLERANCE
     # Newton continued from the guess, and its first Jacobian is the one at the guess
     want_rho, want_u = plain_newton(stepper, guess, rho_old, dt)
     assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
@@ -352,7 +350,7 @@ def test_retry_and_step_without_guess_take_no_chord_iterations():
     g = build_grid(60)
     dt = 1e-2
     rho_old = np.random.default_rng(7).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g), transient.NewtonConfig())
+    stepper = _ImplicitStepper(discretize(MODEL_C, g))
     start = stepper.entropy_variable(rho_old)
     want_rho, want_u = plain_newton(stepper, start, rho_old, dt)
     coef, base = stepper._balance(rho_old, dt)
@@ -372,9 +370,9 @@ def test_stepper_across_step_sizes_is_a_fresh_stepper_at_each():
     g = build_grid(60)
     d = discretize(MODEL_C, g)
     rho = np.random.default_rng(8).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(d, transient.NewtonConfig())
+    stepper = _ImplicitStepper(d)
     for dt in (1e-2, 3e-3, 1e-2):
-        want = _ImplicitStepper(d, transient.NewtonConfig()).step(rho, dt)
+        want = _ImplicitStepper(d).step(rho, dt)
         rho = stepper.step(rho, dt)
         assert np.array_equal(rho, want)
         assert np.array_equal(stepper._balance(rho, dt)[0], d.volumes / dt + stepper.vol_decay)

@@ -10,7 +10,6 @@ from fokker_flux import (
     InvalidInitialError,
     InvalidModelError,
     ModelSpec,
-    NewtonConfig,
     PotentialSpec,
     SolverConfig,
     StabilityError,
@@ -30,6 +29,7 @@ from fokker_flux import (
     step_implicit_entropy,
     trapezoid,
 )
+import fokker_flux.transient as transient
 from fokker_flux.transient import _ExplicitStepper, _ImplicitStepper
 from fokker_flux.tridiag import solve_tridiagonal
 
@@ -251,7 +251,7 @@ def test_implicit_entropy_dissipation_per_step():
     vol[0] = vol[-1] = 0.5 * g.dx
     e_prev = entropy("two-species", state, ref.field)
     for _ in range(25):
-        state = step_implicit_entropy(state, d, dt, NewtonConfig())
+        state = step_implicit_entropy(state, d, dt)
         e_new = entropy("two-species", state, ref.field)
         r = state.values
         u = np.log(r / (1.0 - r)) - g.nodes
@@ -269,44 +269,46 @@ def test_implicit_entropy_dissipation_per_step():
 
 def reference_newton(stepper, rho_old, dt):
     """Damped Newton evaluating G afresh at every iterate; None on failure."""
-    cfg = stepper.newton
 
     def norm_of(G):
         return float(np.max(np.abs(G / stepper.vol)))
 
     u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
     coef, base = stepper._balance(rho_old, dt)
-    for _ in range(cfg.max_iter):
+    for _ in range(transient.NEWTON_MAX_ITER):
         G, rho = stepper._residual(u, rho_old, coef, base)
         norm = norm_of(G)
-        if norm < cfg.tolerance:
+        if norm < transient.NEWTON_TOLERANCE:
             return stepper._logistic(u + stepper.v)
         delta = solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
         damping = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(transient.NEWTON_MAX_BACKTRACKS):
             trial, _ = stepper._residual(u + damping * delta, rho_old, coef, base)
             if norm_of(trial) < norm:
                 break
             damping *= 0.5
         u = u + damping * delta
     G, _ = stepper._residual(u, rho_old, coef, base)
-    return stepper._logistic(u + stepper.v) if norm_of(G) < cfg.tolerance else None
+    return stepper._logistic(u + stepper.v) if norm_of(G) < transient.NEWTON_TOLERANCE else None
 
 
 @pytest.mark.parametrize(
     "dt, newton",
     [
-        (1e-3, NewtonConfig()),
-        (5.0, NewtonConfig()),
-        (5.0, NewtonConfig(max_backtracks=0)),
-        (5.0, NewtonConfig(max_iter=2, tolerance=1e-14, max_backtracks=1)),  # fails
+        (1e-3, {}),
+        (5.0, {}),
+        (5.0, {"NEWTON_MAX_BACKTRACKS": 0}),
+        # fails
+        (5.0, {"NEWTON_MAX_ITER": 2, "NEWTON_TOLERANCE": 1e-14, "NEWTON_MAX_BACKTRACKS": 1}),
     ],
 )
 def test_implicit_step_equals_reference_newton(dt, newton, monkeypatch):
+    for name, value in newton.items():  # Newton's limits, read at each solve
+        monkeypatch.setattr(transient, name, value)
     g = build_grid(60)
     rng = np.random.default_rng(11)
     rho_old = rng.uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g), newton)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g))
     calls = {"_residual": 0, "_jacobian": 0}
     for name in calls:
         original = getattr(_ImplicitStepper, name)
@@ -325,7 +327,7 @@ def test_implicit_step_equals_reference_newton(dt, newton, monkeypatch):
         return
     assert np.array_equal(stepper.step(rho_old, dt), want)
     assert calls["_jacobian"] == reference_calls["_jacobian"]
-    if newton.max_backtracks:
+    if transient.NEWTON_MAX_BACKTRACKS:
         # an accepted trial is the next iterate: its G is not evaluated again
         saved = reference_calls["_jacobian"]
     else:
@@ -351,7 +353,7 @@ def cell_balance(g, rho_old, u, dt, model):
 @pytest.mark.parametrize("dt", [1e-3, 5.0])
 def test_implicit_residual_is_the_cell_balance(n, dt):
     g = build_grid(n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g), NewtonConfig())
+    stepper = _ImplicitStepper(discretize(MODEL_C, g))
     rng = np.random.default_rng(n)
     for _ in range(10):
         rho_old = rng.uniform(0.02, 0.98, n)
@@ -366,7 +368,7 @@ def test_implicit_residual_time_term_is_exactly_zero_at_the_old_density():
     # the balance keeps the difference rho - rho_old: at rho == rho_old the
     # time term is 0 for every dt, so its roundoff does not grow like 1/dt
     g = build_grid(60)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g), NewtonConfig())
+    stepper = _ImplicitStepper(discretize(MODEL_C, g))
     u = np.random.default_rng(5).normal(0.0, 2.0, g.n)
     rho_old = _ImplicitStepper._logistic(u + g.nodes)
     balances = [
@@ -379,7 +381,7 @@ def test_implicit_residual_time_term_is_exactly_zero_at_the_old_density():
 
 def test_implicit_residual_returns_arrays_no_later_call_overwrites():
     g = build_grid(60)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g), NewtonConfig())
+    stepper = _ImplicitStepper(discretize(MODEL_C, g))
     rng = np.random.default_rng(3)
     rho_old = rng.uniform(0.02, 0.98, g.n)
     balance = stepper._balance(rho_old, 1e-2)
@@ -501,15 +503,15 @@ def test_implicit_run_matches_stationary_long_time():
     assert np.all(np.diff(traj.entropy) <= 1e-12)
 
 
-def test_implicit_run_failure_carries_time():
+def test_implicit_run_failure_carries_time(monkeypatch):
     from fokker_flux import StepFailureError
 
+    monkeypatch.setattr(transient, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(transient, "NEWTON_TOLERANCE", 1e-14)
+    monkeypatch.setattr(transient, "NEWTON_MAX_BACKTRACKS", 1)
     g = build_grid(60)
     f = build_initial(InitialSpec("parabola"), g, MODEL_C)
-    cfg = SolverConfig(
-        dt=5.0, t_end=10.0, scheme="implicit-entropy",
-        newton=NewtonConfig(max_iter=1, tolerance=1e-14, max_backtracks=1),
-    )
+    cfg = SolverConfig(dt=5.0, t_end=10.0, scheme="implicit-entropy")
     with pytest.raises(StepFailureError) as excinfo:
         run_transient(discretize(MODEL_C, g), f, cfg)
     assert excinfo.value.time == pytest.approx(5.0)
