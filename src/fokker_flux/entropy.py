@@ -60,7 +60,13 @@ def _reject(row: FloatArray) -> None:
 
 def _xlogx_ratio(a: FloatArray, b: FloatArray) -> FloatArray:
     """a * log(a / b) with the continuous extension 0 log 0 = 0: an entry of
-    ``a`` that is 0 or negative gives exactly 0, a NaN entry gives NaN."""
+    ``a`` that is 0 or negative gives exactly 0, a NaN entry gives NaN.
+    Without such entries (``min(a) > 0``, false at a NaN) the same operations
+    run unmasked, which is faster and gives the same values."""
+    if a.min(initial=math.inf) > 0.0:
+        out = np.divide(a, b)
+        np.log(out, out=out)
+        return np.multiply(a, out, out=out)
     pos = ~(a <= 0.0)
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
     np.divide(a, b, out=out, where=pos)

@@ -18,7 +18,6 @@ telescopes.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -135,27 +134,22 @@ _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 OBSERVER_BLOCK = 64
 
 # The implicit scheme holds a dense Jacobian inverse (8 n^2 bytes) for its
-# chord iterations only up to this n. On one thread of a 2-core x86 VM a
-# product with it took 10 / 33 / 443 us against 113 / 247 / 665 us for a
-# Thomas solve at n = 200 / 400 / 1024, but a run takes about 2.3 products
-# per step in its first 1500 steps, and the inverse costs 1.3 ms at n = 200.
-# Over those steps (entropy-C, dt 1e-3) the chord run took 0.53-0.67 s
-# against 0.76-0.83 s at n = 400, and 0.84-0.94 s against 0.79-0.94 s at
-# n = 500.
+# chord iterations only up to this n: above it the products with the inverse
+# no longer pay for themselves over a run (README, cost model of an implicit step).
 CHORD_MAX_N = 400
 # A chord trial is kept when it meets the tolerance or cuts the residual
 # sup-norm to this fraction or less; otherwise damped Newton takes over and
-# refreshes the inverse. Over the 3700 steps of an entropy-C run at n = 200,
-# dt 1e-3 (affine data 0.5 + 0.05 x), 0.01 / 0.02 / 0.03 / 0.05 took
-# 15 / 9 / 6 / 4 refreshes (1.3 ms each) and 0.98 / 1.01 / 1.02 / 1.05
-# chord iterations (about 27 us each) per step; the run times (medians of 11
-# interleaved runs, 0.32-0.34 s) differed by less than their spread.
+# refreshes the inverse (0.01 to 0.05 ran equally fast; README).
 CHORD_CONTRACTION = 0.02
 # Damped Newton: at most NEWTON_MAX_ITER iterations (chord ones included) to bring
 # sup|G/vol| below NEWTON_TOLERANCE, each halving its step at most NEWTON_MAX_BACKTRACKS times.
 NEWTON_MAX_ITER = 50
 NEWTON_TOLERANCE = 1e-10
 NEWTON_MAX_BACKTRACKS = 8
+# The start from the last eight entropy variables (oldest first): their
+# least-squares quartic in time, one step on. Exact for quartics, it scales the
+# iterates' convergence error by 4.69 (root sum of squares), the cubic by 8.37.
+QUARTIC_START = np.array([35.0, -85.0, 5.0, 81.0, 45.0, -75.0, -125.0, 175.0]) / 56.0
 
 
 def _check_peclet(d: Discretization, failure: str) -> None:
@@ -417,11 +411,11 @@ class _ImplicitStepper:
 
     The terms of the balances that depend only on ``(rho_old, dt)`` are
     formed once per Newton solve (:meth:`_balance`), and the one that
-    depends only on ``dt`` once per step size: one evaluation of ``G``
-    (:meth:`_residual`) takes 18 numpy calls and its norm 3, and a run's
-    step with one chord iteration 53, its cubic start and the run's
-    running extrema included (61 when each evaluation formed those terms
-    itself; README, cost model of an implicit step).
+    depends only on ``dt`` once per step size: one evaluation of ``G`` with
+    its norm (:meth:`_residual`) takes 21 numpy calls, and a run's step
+    with one chord iteration 50, its quartic start, the copy of its
+    iterate and the run's running extrema included (README, cost model of
+    an implicit step).
 
     Up to ``n = CHORD_MAX_N`` the stepper also holds ``inverse``, the dense
     inverse of a recent Newton Jacobian, formed for the step size
@@ -480,9 +474,11 @@ class _ImplicitStepper:
         np.subtract(self.vol_alpha, base, out=base)
         return self.coef, base
 
-    def _residual(self, u: FloatArray, rho_old: FloatArray, coef: FloatArray, base: FloatArray):
+    def _residual(self, u: FloatArray, rho_old: FloatArray, coef: FloatArray, base: FloatArray,
+                  norm: bool = False):
         """Cell balances ``G(u)`` and the density, both new arrays; ``coef`` and
-        ``base`` from :meth:`_balance`.
+        ``base`` from :meth:`_balance`. With ``norm``, also ``sup|G/vol|``,
+        by the operations of :meth:`_norm`: Newton evaluates both in one call.
 
         ``G = (rho - rho_old) coef - base + div(flux)``, which is
         ``vol (rho - rho_old)/dt + div(flux) - vol (alpha - rho decay)``; the
@@ -502,7 +498,10 @@ class _ImplicitStepper:
         G -= base
         G[:-1] += flux
         G[1:] -= flux
-        return G, rho
+        if not norm:
+            return G, rho
+        scaled = np.divide(G, self.vol, out=self.scaled)
+        return G, rho, float(np.maximum.reduce(np.abs(scaled, out=scaled)))
 
     def _jacobian(self, u: FloatArray, rho: FloatArray, coef: FloatArray):
         """Tridiagonal Jacobian ``(lower, diag, upper)`` of ``G`` in u at ``u``,
@@ -516,16 +515,10 @@ class _ImplicitStepper:
         dflux_left = (-dmob * 0.5 * sig[:-1] * du + mob) / dx
         dflux_right = (-dmob * 0.5 * sig[1:] * du - mob) / dx
         diag = sig * coef  # d/du of rho coef: the time and reaction terms
-        lower = np.empty_like(du)
-        upper = np.empty_like(du)
         diag[0] += dflux_left[0]
-        upper[0] = dflux_right[0]
         diag[1:-1] += dflux_left[1:] - dflux_right[:-1]
-        upper[1:] = dflux_right[1:]
-        lower[:-1] = -dflux_left[:-1]
-        diag[-1] += -dflux_right[-1]
-        lower[-1] = -dflux_left[-1]
-        return lower, diag, upper
+        diag[-1] -= dflux_right[-1]
+        return -dflux_left, diag, dflux_right
 
     def _norm(self, G: FloatArray) -> float:
         scaled = np.divide(G, self.vol, out=self.scaled)
@@ -546,16 +539,16 @@ class _ImplicitStepper:
         ``NEWTON_MAX_ITER``; the settings are read at each call.
         """
         coef, base = self._balance(rho_old, dt)
-        G, rho = self._residual(u, rho_old, coef, base)
-        norm = self._norm(G)
+        residual = self._residual
+        G, rho, norm = residual(u, rho_old, coef, base, True)
         iterations = 0
         if chord and self.inverse_dt == dt:
+            inverse = self.inverse
             while iterations < NEWTON_MAX_ITER and not norm < NEWTON_TOLERANCE:
                 iterations += 1
                 self.chord_iterations += 1
-                trial = u - self.inverse @ G
-                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
-                trial_norm = self._norm(trial_G)
+                trial = u - inverse @ G
+                trial_G, trial_rho, trial_norm = residual(trial, rho_old, coef, base, True)
                 if not (trial_norm < NEWTON_TOLERANCE or trial_norm <= CHORD_CONTRACTION * norm):
                     break
                 u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
@@ -577,8 +570,7 @@ class _ImplicitStepper:
             # NEWTON_MAX_BACKTRACKS trials; without a decrease the next, smaller step is taken as is
             for _ in range(NEWTON_MAX_BACKTRACKS + 1):
                 trial = u + damping * delta
-                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
-                trial_norm = self._norm(trial_G)
+                trial_G, trial_rho, trial_norm = residual(trial, rho_old, coef, base, True)
                 if trial_norm < norm:
                     break
                 damping *= 0.5
@@ -617,17 +609,20 @@ class _ImplicitStepper:
 
 
 def _extrapolate(history, out: FloatArray | None = None) -> FloatArray:
-    """Newton's start for the next implicit step from the accepted entropy
-    variables of the last two, three or four steps (oldest first): the
-    polynomial through them in time, evaluated one step on. That is the
-    linear ``2u^k - u^{k-1}``, the quadratic ``3u^k - 3u^{k-1} + u^{k-2}``
-    or, from four, the cubic ``4u^k - 6u^{k-1} + 4u^{k-2} - u^{k-3}``; the
-    cubic is written into ``out`` (two arrays of u's shape) when given,
-    the first holding the start."""
+    """Newton's start for the next implicit step, one step on in time from
+    the accepted entropy variables of the last steps (oldest first, two or
+    more): the quartic ``QUARTIC_START`` through the last eight, else the
+    linear ``2u^k - u^{k-1}``, quadratic ``3u^k - 3u^{k-1} + u^{k-2}`` or
+    cubic ``4u^k - 6u^{k-1} + 4u^{k-2} - u^{k-3}`` through the last four at
+    most. The quartic and the cubic are written into ``out`` (two arrays of
+    u's shape, the first holding the start) when given."""
+    if len(history) >= 8:
+        return np.dot(QUARTIC_START, history[-8:], out=None if out is None else out[0])
     if len(history) == 2:
         return 2.0 * history[1] - history[0]
     if len(history) == 3:
         return 3.0 * (history[2] - history[1]) + history[0]
+    history = history[-4:]
     start, work = out if out is not None else (None, None)
     start = np.add(history[3], history[1], out=start)
     start *= 4.0
@@ -708,7 +703,8 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
     first non-finite state at once. The implicit one keeps the elementwise
     extrema of its states and reduces them once per block; each Newton
     solve starts from the extrapolation of the last accepted entropy
-    variables, cubic from step 4 on (:func:`_extrapolate`), and up to
+    variables (:func:`_extrapolate`), cubic from step 4 and the quartic
+    from step 9 on, read from a ring of the last eight, and up to
     ``n = CHORD_MAX_N`` takes chord iterations with a held Jacobian inverse
     first (:meth:`_ImplicitStepper._newton`).
     """
@@ -717,8 +713,11 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
     ks, k = [], 0
     lo, hi = float(rho.min()), float(rho.max())
     if implicit:
-        history = deque([stepper.entropy_variable(rho)], maxlen=4)  # u^0, u^1, ..
-        start = np.empty((2, rho.size))  # the cubic start and its work array
+        # u^j in rows j % 8 and j % 8 + 8: the last m <= 8 end at row (k - 1) % 8 + 8
+        # before step k, one (m, n) view in time order
+        ring = np.empty((16, rho.size))
+        ring[::8] = stepper.entropy_variable(rho)
+        start = np.empty((2, rho.size))  # the start and its work array
         low, high = rho.copy(), rho.copy()
     for event in _event_steps(stride, events):
         while k < event and math.isfinite(lo) and math.isfinite(hi):
@@ -728,7 +727,8 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
                 lo, hi = min(float(rho.min()), lo), max(float(rho.max()), hi)  # as in _propagated
                 continue
             solves = stepper.solves
-            guess = _extrapolate(history, start) if k > 1 else None
+            end = (k - 1) % 8 + 9
+            guess = _extrapolate(ring[end - min(k, 8) : end], start) if k > 1 else None
             try:
                 rho, u = stepper.solve(rho, dt, guess)
             except StepFailureError as err:
@@ -738,7 +738,7 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
                     time=k * dt,
                 ) from err
             stepper.most_solves = max(stepper.most_solves, stepper.solves - solves)
-            history.append(u.copy() if u is guess else u)  # start is rewritten
+            ring[k % 8 :: 8] = u
             np.minimum(low, rho, out=low)
             np.maximum(high, rho, out=high)
         block[len(ks)] = rho

@@ -164,6 +164,22 @@ def test_a_row_with_a_nan_has_a_nan_entropy(kind):
     assert np.isnan(entropy(kind, DensityField(block[1], GRID), const(0.25)))
 
 
+def test_xlogx_ratio_of_interior_blocks_is_the_masked_one():
+    # no entry 0, negative or NaN: the unmasked operations, the same values
+    rng = np.random.default_rng(13)
+    ref = rng.uniform(0.01, 0.99, 200)
+    for block in (rng.uniform(1e-12, 1.0 - 1e-12, (64, 200)), rng.uniform(0.3, 0.7, (1, 200))):
+        for a, b in ((block, ref), (1.0 - block, 1.0 - ref)):
+            assert np.array_equal(_xlogx_ratio(a, b), masked_xlogx_ratio(a, b))
+    # a zero or negative entry gives 0, a NaN entry NaN; the others as without them
+    block = rng.uniform(0.1, 0.9, (3, 200))
+    block[0, 5], block[1, 7], block[2, 9] = 0.0, -1e-17, np.nan
+    got = _xlogx_ratio(block, ref)
+    assert got[0, 5] == got[1, 7] == 0.0 and np.isnan(got[2, 9])
+    assert np.array_equal(got, masked_xlogx_ratio(block, ref), equal_nan=True)
+    assert _xlogx_ratio(np.empty((0, 200)), ref).shape == (0, 200)
+
+
 def test_entropy_domain_errors():
     with pytest.raises(EntropyDomainError):
         entropy("quadratic", const(1.0), const(0.0))

@@ -107,17 +107,18 @@ def test_newton_counts(monkeypatch):
 
 def test_extrapolate_is_exact_for_polynomials_in_time():
     rng = np.random.default_rng(9)
-    coefficients = rng.normal(0.0, 1.0, (4, 50))  # u(t) = sum_j c_j t^j at 50 nodes
+    coefficients = rng.normal(0.0, 1.0, (5, 50))  # u(t) = sum_j c_j t^j at 50 nodes
     dt = 1e-3
 
     def u(k, degree):
         t = k * dt
         return sum(coefficients[j] * t**j for j in range(degree + 1))
 
+    # two to four entries: the polynomial through them; eight: the least-squares quartic
     for k in (3, 100, 3700):
-        for entries in (2, 3, 4):
-            history = [u(k - entries + 1 + i, entries - 1) for i in range(entries)]
-            want = u(k + 1, entries - 1)
+        for entries, degree in ((2, 1), (3, 2), (4, 3), (8, 4)):
+            history = [u(k - entries + 1 + i, degree) for i in range(entries)]
+            want = u(k + 1, degree)
             assert np.max(np.abs(transient._extrapolate(history) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -176,6 +177,40 @@ def test_cubic_start_counts_on_the_benchmark_configuration(monkeypatch):
     assert traj.chord_iterations / traj.steps <= 1.2
     assert traj.newton_iterations / traj.steps <= 1.1
     assert len(residuals) / traj.steps <= 2.1
+
+
+def test_quartic_start_in_held_buffers_reads_the_last_eight():
+    h = np.random.default_rng(12).normal(0.0, 1.0, (9, 40))
+    out = np.empty((2, 40))
+    start = transient._extrapolate(h[1:], out)
+    assert np.shares_memory(start, out[0])
+    assert np.array_equal(start, transient._extrapolate(list(h)))  # the last eight
+    # five to seven entries: the cubic through the last four
+    assert np.array_equal(transient._extrapolate(h[:7]), transient._extrapolate(h[3:7]))
+
+
+@pytest.mark.parametrize("seed, a, b", [(0, -0.059457, 0.415828), (1, 0.090785, 0.46041)])
+def test_quartic_start_counts_on_the_benchmark_configuration(seed, a, b, monkeypatch):
+    # the implicit-C benchmark workload's initial data at seeds 0 and 1; the
+    # cubic start took 2.11 / 2.02 residuals and 1.10 / 1.01 chord iterations
+    # per step on them, the quartic 1.92 and 0.92 on both. The affine data
+    # 0.5 + 0.05 x of the cubic's count test gain nothing (2.02 -> 2.03).
+    residuals = []
+    original = _ImplicitStepper._residual
+
+    def counted(self, *args):
+        residuals.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(_ImplicitStepper, "_residual", counted)
+    config = preset_config("entropy-C", {
+        "scheme": "implicit-entropy", "dt": 1e-3, "n": 200, "t_end": 3.7, "observe_every": 1,
+        "initial": {"kind": "affine", "a": a, "b": b},
+    })
+    _, traj = execute(config)
+    assert traj.chord_iterations / traj.steps <= 0.95
+    assert traj.newton_iterations / traj.steps <= 1.1
+    assert len(residuals) / traj.steps <= 1.95
 
 
 def test_failed_extrapolated_start_is_retried_from_previous_state(monkeypatch):
