@@ -134,12 +134,21 @@ _ROUNDOFF = 1e-15  # negative step-matrix entries tolerated as roundoff
 OBSERVER_BLOCK = 64
 
 # The implicit scheme holds a dense Jacobian inverse (8 n^2 bytes) for its
-# chord iterations only up to this n: above it the products with the inverse
-# no longer pay for themselves over a run (README, cost model of an implicit step).
+# chord iterations only up to this n. On one thread of a 2-core x86 VM a
+# product with it took 10 / 33 / 443 us against 113 / 247 / 665 us for a
+# Thomas solve at n = 200 / 400 / 1024, but a run takes about 2.3 products
+# per step in its first 1500 steps, and the inverse costs 1.3 ms at n = 200.
+# Over those steps (entropy-C, dt 1e-3) the chord run took 0.53-0.67 s
+# against 0.76-0.83 s at n = 400, and 0.84-0.94 s against 0.79-0.94 s at
+# n = 500.
 CHORD_MAX_N = 400
 # A chord trial is kept when it meets the tolerance or cuts the residual
 # sup-norm to this fraction or less; otherwise damped Newton takes over and
-# refreshes the inverse (0.01 to 0.05 ran equally fast; README).
+# refreshes the inverse. Over the 3700 steps of an entropy-C run at n = 200,
+# dt 1e-3 (affine data 0.5 + 0.05 x), 0.01 / 0.02 / 0.03 / 0.05 took
+# 15 / 9 / 6 / 4 refreshes (1.3 ms each) and 0.98 / 1.01 / 1.02 / 1.05
+# chord iterations (about 27 us each) per step; the run times (medians of 11
+# interleaved runs, 0.32-0.34 s) differed by less than their spread.
 CHORD_CONTRACTION = 0.02
 # Damped Newton: at most NEWTON_MAX_ITER iterations (chord ones included) to bring
 # sup|G/vol| below NEWTON_TOLERANCE, each halving its step at most NEWTON_MAX_BACKTRACKS times.
@@ -148,7 +157,7 @@ NEWTON_TOLERANCE = 1e-10
 NEWTON_MAX_BACKTRACKS = 8
 # The start from the last eight entropy variables (oldest first): their
 # least-squares quartic in time, one step on. Exact for quartics, it scales the
-# iterates' convergence error by 4.69 (root sum of squares), the cubic by 8.37.
+# iterates' convergence error by 4.69 (root sum of squares), the cubic by 8.31.
 QUARTIC_START = np.array([35.0, -85.0, 5.0, 81.0, 45.0, -75.0, -125.0, 175.0]) / 56.0
 
 
@@ -411,11 +420,12 @@ class _ImplicitStepper:
 
     The terms of the balances that depend only on ``(rho_old, dt)`` are
     formed once per Newton solve (:meth:`_balance`), and the one that
-    depends only on ``dt`` once per step size: one evaluation of ``G`` with
-    its norm (:meth:`_residual`) takes 21 numpy calls, and a run's step
-    with one chord iteration 50, its quartic start, the copy of its
-    iterate and the run's running extrema included (README, cost model of
-    an implicit step).
+    depends only on ``dt`` once per step size: one evaluation of ``G``
+    (:meth:`_residual`) takes 18 numpy calls and its norm 3, and a run's
+    step with one chord iteration 50, its quartic start, the copy of its
+    iterate and the run's running extrema included (53 with the cubic
+    start, 61 when each evaluation formed those terms itself; README,
+    cost model of an implicit step).
 
     Up to ``n = CHORD_MAX_N`` the stepper also holds ``inverse``, the dense
     inverse of a recent Newton Jacobian, formed for the step size
@@ -474,11 +484,9 @@ class _ImplicitStepper:
         np.subtract(self.vol_alpha, base, out=base)
         return self.coef, base
 
-    def _residual(self, u: FloatArray, rho_old: FloatArray, coef: FloatArray, base: FloatArray,
-                  norm: bool = False):
+    def _residual(self, u: FloatArray, rho_old: FloatArray, coef: FloatArray, base: FloatArray):
         """Cell balances ``G(u)`` and the density, both new arrays; ``coef`` and
-        ``base`` from :meth:`_balance`. With ``norm``, also ``sup|G/vol|``,
-        by the operations of :meth:`_norm`: Newton evaluates both in one call.
+        ``base`` from :meth:`_balance`.
 
         ``G = (rho - rho_old) coef - base + div(flux)``, which is
         ``vol (rho - rho_old)/dt + div(flux) - vol (alpha - rho decay)``; the
@@ -498,10 +506,7 @@ class _ImplicitStepper:
         G -= base
         G[:-1] += flux
         G[1:] -= flux
-        if not norm:
-            return G, rho
-        scaled = np.divide(G, self.vol, out=self.scaled)
-        return G, rho, float(np.maximum.reduce(np.abs(scaled, out=scaled)))
+        return G, rho
 
     def _jacobian(self, u: FloatArray, rho: FloatArray, coef: FloatArray):
         """Tridiagonal Jacobian ``(lower, diag, upper)`` of ``G`` in u at ``u``,
@@ -539,16 +544,16 @@ class _ImplicitStepper:
         ``NEWTON_MAX_ITER``; the settings are read at each call.
         """
         coef, base = self._balance(rho_old, dt)
-        residual = self._residual
-        G, rho, norm = residual(u, rho_old, coef, base, True)
+        G, rho = self._residual(u, rho_old, coef, base)
+        norm = self._norm(G)
         iterations = 0
         if chord and self.inverse_dt == dt:
-            inverse = self.inverse
             while iterations < NEWTON_MAX_ITER and not norm < NEWTON_TOLERANCE:
                 iterations += 1
                 self.chord_iterations += 1
-                trial = u - inverse @ G
-                trial_G, trial_rho, trial_norm = residual(trial, rho_old, coef, base, True)
+                trial = u - self.inverse @ G
+                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
+                trial_norm = self._norm(trial_G)
                 if not (trial_norm < NEWTON_TOLERANCE or trial_norm <= CHORD_CONTRACTION * norm):
                     break
                 u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
@@ -570,7 +575,8 @@ class _ImplicitStepper:
             # NEWTON_MAX_BACKTRACKS trials; without a decrease the next, smaller step is taken as is
             for _ in range(NEWTON_MAX_BACKTRACKS + 1):
                 trial = u + damping * delta
-                trial_G, trial_rho, trial_norm = residual(trial, rho_old, coef, base, True)
+                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
+                trial_norm = self._norm(trial_G)
                 if trial_norm < norm:
                     break
                 damping *= 0.5
