@@ -240,7 +240,7 @@ def summary_json_dict(summary: RunSummary) -> dict:
     }
 
 
-def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, Trajectory]:
+def execute(config: RunConfig) -> tuple[RunSummary, Trajectory]:
     """Run a configuration without touching the filesystem.
 
     The run starts from the configuration's Discretization, initial field
@@ -255,7 +255,6 @@ def execute(config: RunConfig, keep_fields: bool = False) -> tuple[RunSummary, T
         config.solver,
         reference=reference,
         snapshot_times=config.snapshot_times,
-        keep_fields=keep_fields,
     )
     prediction = predicted_rate(d, reference.field, rho0=config.initial)
     try:  # on the default window

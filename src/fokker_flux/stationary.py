@@ -114,18 +114,17 @@ def slotboom_system(d: Discretization):
     return lower, diag, upper, rhs
 
 
-def stationary_numeric(d: Discretization, guess: FloatArray | None = None) -> StationarySolution:
+def stationary_numeric(d: Discretization) -> StationarySolution:
     """Stationary solution on ``d`` from the symmetric Slotboom solve (models A, B).
 
-    One round of iterative refinement follows the direct elimination; an
-    optional ``guess`` seeds the refinement without changing the answer.
+    One round of iterative refinement follows the direct elimination.
     For model C the steady equation reduces to the pointwise identity
     ``alpha (1 - rho) = beta rho e^{-V}``, so the closed form already *is*
     the exact nodal solution and is returned as such.
     """
     if d.model.model == "C":
         return stationary_closed(d)
-    u = solve_refined(*slotboom_system(d), guess=guess)
+    u = solve_refined(*slotboom_system(d))
     return _solution(d, u * d.exp_v, "numeric")
 
 

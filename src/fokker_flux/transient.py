@@ -109,7 +109,6 @@ class Trajectory:
     residual: FloatArray
     outflow_density: FloatArray
     snapshots: tuple
-    sampled_fields: tuple
     final: DensityField
     reference: StationarySolution
     entropy_kind: str
@@ -159,6 +158,13 @@ NEWTON_MAX_BACKTRACKS = 8
 # least-squares quartic in time, one step on. Exact for quartics, it scales the
 # iterates' convergence error by 4.69 (root sum of squares), the cubic by 8.31.
 QUARTIC_START = np.array([35.0, -85.0, 5.0, 81.0, 45.0, -75.0, -125.0, 175.0]) / 56.0
+# Newton's start at step k is START_WEIGHTS[min(k, 8)] times the last accepted
+# entropy variables, oldest first, one step on in time: none at steps 0 and 1
+# (step 1 starts from the previous state), the linear and the quadratic
+# extrapolation at steps 2 and 3, the cubic at steps 4 to 7, and from step 8,
+# with eight iterates u^0 .. u^7, QUARTIC_START.
+START_WEIGHTS = (None, None, np.array([-1.0, 2.0]), np.array([1.0, -3.0, 3.0]),
+                 *[np.array([-1.0, 4.0, -6.0, 4.0])] * 4, QUARTIC_START)
 
 
 def _check_peclet(d: Discretization, failure: str) -> None:
@@ -422,10 +428,10 @@ class _ImplicitStepper:
     formed once per Newton solve (:meth:`_balance`), and the one that
     depends only on ``dt`` once per step size: one evaluation of ``G``
     (:meth:`_residual`) takes 18 numpy calls and its norm 3, and a run's
-    step with one chord iteration 50, its quartic start, the copy of its
-    iterate and the run's running extrema included (53 with the cubic
-    start, 61 when each evaluation formed those terms itself; README,
-    cost model of an implicit step).
+    step with one chord iteration 50, its start (one product), the copy of
+    its iterate and the run's running extrema included (61 when each
+    evaluation formed those terms itself; README, cost model of an implicit
+    step).
 
     Up to ``n = CHORD_MAX_N`` the stepper also holds ``inverse``, the dense
     inverse of a recent Newton Jacobian, formed for the step size
@@ -614,29 +620,6 @@ class _ImplicitStepper:
         return self.solve(rho_old, dt)[0]
 
 
-def _extrapolate(history, out: FloatArray | None = None) -> FloatArray:
-    """Newton's start for the next implicit step, one step on in time from
-    the accepted entropy variables of the last steps (oldest first, two or
-    more): the quartic ``QUARTIC_START`` through the last eight, else the
-    linear ``2u^k - u^{k-1}``, quadratic ``3u^k - 3u^{k-1} + u^{k-2}`` or
-    cubic ``4u^k - 6u^{k-1} + 4u^{k-2} - u^{k-3}`` through the last four at
-    most. The quartic and the cubic are written into ``out`` (two arrays of
-    u's shape, the first holding the start) when given."""
-    if len(history) >= 8:
-        return np.dot(QUARTIC_START, history[-8:], out=None if out is None else out[0])
-    if len(history) == 2:
-        return 2.0 * history[1] - history[0]
-    if len(history) == 3:
-        return 3.0 * (history[2] - history[1]) + history[0]
-    history = history[-4:]
-    start, work = out if out is not None else (None, None)
-    start = np.add(history[3], history[1], out=start)
-    start *= 4.0
-    start -= np.multiply(history[2], 6.0, out=work)
-    start -= history[0]
-    return start
-
-
 def step_implicit_entropy(rho: DensityField, d: Discretization, dt: float) -> DensityField:
     """One backward-Euler step of the entropy-variable scheme (model C) on ``d``.
 
@@ -708,9 +691,9 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
     The explicit scheme checks each state's min and max and hands over its
     first non-finite state at once. The implicit one keeps the elementwise
     extrema of its states and reduces them once per block; each Newton
-    solve starts from the extrapolation of the last accepted entropy
-    variables (:func:`_extrapolate`), cubic from step 4 and the quartic
-    from step 9 on, read from a ring of the last eight, and up to
+    solve starts from one product of a row of ``START_WEIGHTS`` with the
+    last accepted entropy variables (the cubic from step 4, the quartic
+    from step 8 on), read from a ring of the last eight, and up to
     ``n = CHORD_MAX_N`` takes chord iterations with a held Jacobian inverse
     first (:meth:`_ImplicitStepper._newton`).
     """
@@ -723,7 +706,7 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
         # before step k, one (m, n) view in time order
         ring = np.empty((16, rho.size))
         ring[::8] = stepper.entropy_variable(rho)
-        start = np.empty((2, rho.size))  # the start and its work array
+        start = np.empty(rho.size)
         low, high = rho.copy(), rho.copy()
     for event in _event_steps(stride, events):
         while k < event and math.isfinite(lo) and math.isfinite(hi):
@@ -733,8 +716,10 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
                 lo, hi = min(float(rho.min()), lo), max(float(rho.max()), hi)  # as in _propagated
                 continue
             solves = stepper.solves
-            end = (k - 1) % 8 + 9
-            guess = _extrapolate(ring[end - min(k, 8) : end], start) if k > 1 else None
+            weights, end = START_WEIGHTS[min(k, 8)], (k - 1) % 8 + 9
+            guess = None
+            if weights is not None:
+                guess = np.dot(weights, ring[end - len(weights) : end], out=start)
             try:
                 rho, u = stepper.solve(rho, dt, guess)
             except StepFailureError as err:
@@ -763,7 +748,6 @@ def run_transient(
     config: SolverConfig,
     reference: Optional[StationarySolution] = None,
     snapshot_times: Sequence[float] = (),
-    keep_fields: bool = False,
 ) -> Trajectory:
     """Step the model of ``d`` from ``initial``, a field on ``d.grid``, to
     ``t_end`` and sample observers along the way.
@@ -773,8 +757,8 @@ def run_transient(
     ``reference`` (on ``d.grid``, else ShapeError; the numeric stationary
     solution when omitted) at step 0, every ``observe_every`` steps, and at
     the final step. Snapshots are taken at the steps nearest the requested
-    times; ``keep_fields`` additionally retains the field at every observer
-    sample. Step errors propagate with the failing time attached; a
+    times (to keep every sample, ask for a snapshot at each sample time).
+    Step errors propagate with the failing time attached; a
     non-finite value raises DivergenceError at the step of the first
     non-finite state the scheme hands over.
 
@@ -818,7 +802,7 @@ def run_transient(
             f"cannot allocate the {count:.3g} observer samples of {steps:.3g} steps at "
             f"observe_every={stride}; raise observe_every or dt"
         ) from err
-    snapshots, sampled_fields = [], []
+    snapshots = []
     ref_field = DensityField(reference.field.values, grid)  # ShapeError off the grid
     done = 0  # samples evaluated
 
@@ -833,9 +817,7 @@ def run_transient(
                 # the last row when no earlier one is non-finite, even if it is finite
                 bad = int(np.argmin(np.append(np.isfinite(rows[:-1]).all(axis=1), False)))
                 sampled[bad:] = False
-            # a block of samples only is observed in place; kept fields need
-            # copies of their own, since a scheme may rewrite its block (model C does)
-            states = rows if not keep_fields and sampled.all() else rows[sampled]
+            states = rows if sampled.all() else rows[sampled]  # samples only: in place
             if len(states):  # an observer error of an earlier sample comes first
                 span = slice(done, done + len(states))
                 times[span] = ks[sampled] * dt
@@ -845,8 +827,6 @@ def run_transient(
                 l1s[span] = l1_distance(states, ref_field)
                 resid[span] = residual_stationary(states, d)
                 outflow[span] = states[:, -1]
-                if keep_fields:
-                    sampled_fields.extend(DensityField(row, grid) for row in states)
                 done += len(states)
             if bad < len(ks):
                 k = int(ks[bad])
@@ -869,7 +849,6 @@ def run_transient(
         residual=resid,
         outflow_density=outflow,
         snapshots=tuple(snapshots),
-        sampled_fields=tuple(sampled_fields),
         final=DensityField(rows[-1].copy(), grid),
         reference=reference,
         entropy_kind=kind,

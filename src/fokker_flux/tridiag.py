@@ -86,22 +86,9 @@ def apply_tridiagonal(
 
 
 def solve_refined(
-    lower: FloatArray,
-    diag: FloatArray,
-    upper: FloatArray,
-    rhs: FloatArray,
-    guess: FloatArray | None = None,
+    lower: FloatArray, diag: FloatArray, upper: FloatArray, rhs: FloatArray
 ) -> FloatArray:
-    """Direct solve followed by one round of iterative refinement.
-
-    When a ``guess`` is supplied the solve starts from it by correcting its
-    defect, so different guesses converge to the same solution up to
-    roundoff (the probe used to check uniqueness of the assembled systems).
-    """
-    if guess is None:
-        x = solve_tridiagonal(lower, diag, upper, rhs)
-    else:
-        defect = rhs - apply_tridiagonal(lower, diag, upper, guess)
-        x = guess + solve_tridiagonal(lower, diag, upper, defect)
+    """Direct solve followed by one round of iterative refinement."""
+    x = solve_tridiagonal(lower, diag, upper, rhs)
     defect = rhs - apply_tridiagonal(lower, diag, upper, x)
     return x + solve_tridiagonal(lower, diag, upper, defect)

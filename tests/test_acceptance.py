@@ -5,6 +5,7 @@ Run ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from fokker_flux import (
     trapezoid,
 )
 
+from sampled import sample_times
+
 LINEAR = PotentialSpec("linear")
 
 
@@ -45,10 +48,16 @@ def report(num: int, ok: bool, detail: str) -> bool:
 
 # ----------------------------------------------------------------- fixtures
 
+def execute_sampled(config):
+    """``execute`` with a snapshot at every observer sample, in place of the
+    configuration's own: the snapshots are the sampled fields."""
+    return execute(replace(config, snapshot_times=tuple(sample_times(config.solver))))
+
+
 @pytest.fixture(scope="module")
 def run_a_fine():
     # alpha = beta = 1, V(x) = x, rho0 = -0.1 x + 1.2, n = 200, dt = 5e-6
-    return execute(preset_config("entropy-A"), keep_fields=True)
+    return execute_sampled(preset_config("entropy-A"))
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +77,12 @@ def run_b():
         "initial": {"kind": "affine", "a": -0.1, "b": 1.2},
         "n": 200, "dt": 1e-5, "t_end": 8.0, "observe_every": 1000,
     })
-    return execute(cfg, keep_fields=True)
+    return execute_sampled(cfg)
 
 
 @pytest.fixture(scope="module")
 def run_c():
-    return execute(preset_config("entropy-C", {"dt": 1e-5}), keep_fields=True)
+    return execute_sampled(preset_config("entropy-C", {"dt": 1e-5}))
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +248,7 @@ def test_criterion_8_property_suites(run_a_fine, run_a_gamma0, run_b, run_c):
     for _, trajectory in (run_a_fine, run_b, run_c):
         ref = trajectory.reference.field
         ref_max = float(ref.values.max())
-        for idx, field in enumerate(trajectory.sampled_fields):
+        for idx, (_, field) in enumerate(trajectory.snapshots):
             if not ck_check(field, ref):
                 ck_ok = False
             quad = entropy("quadratic", field, ref)

@@ -28,6 +28,8 @@ from fokker_flux import (
 )
 from fokker_flux.transient import OBSERVER_BLOCK, _ExplicitStepper
 
+from sampled import run_sampled
+
 B = OBSERVER_BLOCK
 
 
@@ -73,13 +75,12 @@ def test_block_boundaries_match_stepping(model_name, stride):
     d = discretize(model, grid)
     for steps, snap_step in runs:
         config = SolverConfig(dt=dt, t_end=steps * dt, observe_every=stride)
-        traj = run_transient(d, initial, config, snapshot_times=[snap_step * dt],
-                             keep_fields=True)
+        traj, fields = run_sampled(d, initial, config, snapshot_times=[snap_step * dt])
         sampled = [*range(0, steps, stride), steps]
         assert traj.steps == steps
         assert np.array_equal(traj.times, np.array(sampled) * dt)
-        assert len(traj.sampled_fields) == len(sampled)
-        for k, field in zip(sampled, traj.sampled_fields):
+        assert len(fields) == len(sampled)
+        for k, field in zip(sampled, fields):
             assert np.max(np.abs(field.values - reference[k])) <= 1e-10, k
         assert np.max(np.abs(traj.final.values - reference[steps])) <= 1e-10
         [(t, snap)] = traj.snapshots

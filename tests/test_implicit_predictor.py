@@ -116,30 +116,53 @@ def test_extrapolate_is_exact_for_polynomials_in_time():
 
     # two to four entries: the polynomial through them; eight: the least-squares quartic
     for k in (3, 100, 3700):
-        for entries, degree in ((2, 1), (3, 2), (4, 3), (8, 4)):
+        for step, degree in ((2, 1), (3, 2), (4, 3), (8, 4)):
+            weights = transient.START_WEIGHTS[step]
+            assert weights.sum() == 1.0
+            entries = len(weights)
             history = [u(k - entries + 1 + i, degree) for i in range(entries)]
             want = u(k + 1, degree)
-            assert np.max(np.abs(transient._extrapolate(history) - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(np.dot(weights, history) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_two_and_three_entry_starts_are_the_linear_and_quadratic_ones():
-    h = list(np.random.default_rng(10).normal(0.0, 1.0, (3, 40)))
-    assert np.array_equal(transient._extrapolate(h[:2]), 2.0 * h[1] - h[0])
-    assert np.array_equal(transient._extrapolate(h), 3.0 * (h[2] - h[1]) + h[0])
+    rows = transient.START_WEIGHTS
+    assert len(rows) == 9 and rows[0] is rows[1] is None
+    assert np.array_equal(rows[2], [-1.0, 2.0])
+    assert np.array_equal(rows[3], [1.0, -3.0, 3.0])
+    for step in (4, 5, 6, 7):
+        assert np.array_equal(rows[step], [-1.0, 4.0, -6.0, 4.0])
+    assert rows[8] is transient.QUARTIC_START
 
 
-def test_cubic_start_in_held_buffers_is_the_allocated_one():
-    h = list(np.random.default_rng(11).normal(0.0, 1.0, (4, 40)))
-    out = np.empty((2, 40))
-    start = transient._extrapolate(h, out)
-    assert np.shares_memory(start, out)
-    assert np.array_equal(start, transient._extrapolate(h))
-    assert np.array_equal(start, 4.0 * (h[3] + h[1]) - 6.0 * h[2] - h[0])
+def test_run_starts_each_step_from_its_row_and_the_last_accepted_iterates(monkeypatch):
+    # 20 steps: every row of the table, and the ring of the last eight
+    # iterates wraps around twice
+    config = implicit_config(1e-3, 40, 0.02)
+    iterates = [_ImplicitStepper(config.d).entropy_variable(config.initial.values)]
+    starts = []
+    solve = _ImplicitStepper.solve
+
+    def recorded(self, rho_old, dt, guess=None):
+        starts.append(None if guess is None else guess.copy())
+        rho, u = solve(self, rho_old, dt, guess)
+        iterates.append(u.copy())
+        return rho, u
+
+    monkeypatch.setattr(_ImplicitStepper, "solve", recorded)
+    _, traj = execute(config)
+    assert traj.steps == len(starts) == 20
+    for k, start in enumerate(starts, 1):
+        weights = transient.START_WEIGHTS[min(k, 8)]
+        if weights is None:
+            assert start is None
+        else:
+            assert np.array_equal(start, np.dot(weights, iterates[k - len(weights) : k])), k
 
 
 def test_run_with_starts_in_held_buffers_is_the_run_with_fresh_ones(monkeypatch):
-    # at dt 2e-2 the cubic start meets the tolerance outright at some steps
-    # late in the run: the accepted iterate is then the held start itself
+    # at dt 2e-2 the start meets the tolerance outright at some steps late
+    # in the run: the accepted iterate is then the held start itself
     config = implicit_config(2e-2, 100, 12.0)
     accepted_starts = []
     solve = _ImplicitStepper.solve
@@ -152,8 +175,11 @@ def test_run_with_starts_in_held_buffers_is_the_run_with_fresh_ones(monkeypatch)
     monkeypatch.setattr(_ImplicitStepper, "solve", recorded)
     _, traj = execute(config)
     assert sum(accepted_starts) > 0
-    extrapolate = transient._extrapolate
-    monkeypatch.setattr(transient, "_extrapolate", lambda h, out=None: extrapolate(list(h)))
+
+    def fresh(self, rho_old, dt, guess=None):
+        return solve(self, rho_old, dt, None if guess is None else guess.copy())
+
+    monkeypatch.setattr(_ImplicitStepper, "solve", fresh)
     _, ref = execute(config)
     assert np.array_equal(traj.final.values, ref.final.values)
     assert np.array_equal(traj.entropy, ref.entropy)
@@ -177,16 +203,6 @@ def test_cubic_start_counts_on_the_benchmark_configuration(monkeypatch):
     assert traj.chord_iterations / traj.steps <= 1.2
     assert traj.newton_iterations / traj.steps <= 1.1
     assert len(residuals) / traj.steps <= 2.1
-
-
-def test_quartic_start_in_held_buffers_reads_the_last_eight():
-    h = np.random.default_rng(12).normal(0.0, 1.0, (9, 40))
-    out = np.empty((2, 40))
-    start = transient._extrapolate(h[1:], out)
-    assert np.shares_memory(start, out[0])
-    assert np.array_equal(start, transient._extrapolate(list(h)))  # the last eight
-    # five to seven entries: the cubic through the last four
-    assert np.array_equal(transient._extrapolate(h[:7]), transient._extrapolate(h[3:7]))
 
 
 @pytest.mark.parametrize("seed, a, b", [(0, -0.059457, 0.415828), (1, 0.090785, 0.46041)])
@@ -240,7 +256,8 @@ def test_run_with_failing_predictor_is_the_constant_start_run(monkeypatch):
     # step is retried from the previous state: the run made without a guess
     config = implicit_config(1e-2, 40, 0.1)
     ref_summary, ref = run_constant_start(config, monkeypatch)
-    monkeypatch.setattr(transient, "_extrapolate", lambda h, out=None: np.full_like(h[-1], np.nan))
+    nan_rows = [None if w is None else np.full_like(w, np.nan) for w in transient.START_WEIGHTS]
+    monkeypatch.setattr(transient, "START_WEIGHTS", tuple(nan_rows))
     _, traj = execute(config)
     assert np.array_equal(traj.final.values, ref.final.values)
     assert np.array_equal(traj.entropy, ref.entropy)

@@ -2,7 +2,7 @@
 
 A run copies its sampled states into a block and evaluates every observer
 on all rows at once; each series must equal, bit for bit, a loop of the
-single-field functions over the sampled fields.
+single-field functions over the sampled fields, read from snapshots.
 """
 
 import numpy as np
@@ -30,13 +30,14 @@ from fokker_flux import (
 from fokker_flux.experiments import PRESETS
 from fokker_flux.transient import OBSERVER_BLOCK
 
+from sampled import run_sampled
+
 SNAP_TIMES = (0.0, 0.0005, 0.00123, 0.002)
 
 
-def loop_observers(traj, model):
+def loop_observers(traj, fields, model):
     """The observer series recomputed one sampled field at a time."""
     ref = traj.reference.field
-    fields = traj.sampled_fields
     return {
         "entropy": [entropy(traj.entropy_kind, f, ref) for f in fields],
         "mass": [trapezoid(f.values, f.grid.dx) for f in fields],
@@ -50,8 +51,8 @@ def loop_observers(traj, model):
     }
 
 
-def assert_block_matches_loop(traj, model):
-    for name, want in loop_observers(traj, model).items():
+def assert_block_matches_loop(traj, fields, model):
+    for name, want in loop_observers(traj, fields, model).items():
         got = getattr(traj, name)
         assert got.shape == (len(want),), name
         assert np.array_equal(got, np.array(want)), name
@@ -62,10 +63,8 @@ def run_preset(name, overrides, stride):
     config = preset_config(
         name, {"t_end": 0.002, "snapshot_times": [], "observe_every": stride, **overrides}
     )
-    traj = run_transient(
-        config.d, config.initial, config.solver, snapshot_times=SNAP_TIMES, keep_fields=True
-    )
-    return config.d.model, traj
+    traj, fields = run_sampled(config.d, config.initial, config.solver, snapshot_times=SNAP_TIMES)
+    return config.d.model, traj, fields
 
 
 CASES = [(name, {}) for name in PRESETS] + [
@@ -78,16 +77,16 @@ CASES = [(name, {}) for name in PRESETS] + [
     "name, overrides", CASES, ids=[name + o.get("scheme", "") for name, o in CASES]
 )
 def test_block_observers_equal_single_field_loop(name, overrides, stride):
-    model, traj = run_preset(name, overrides, stride)
+    model, traj, fields = run_preset(name, overrides, stride)
     steps = traj.steps
     sampled = [*range(0, steps, stride), steps]
     assert traj.times.size == (steps - 1) // stride + 2 == len(sampled)
     assert np.array_equal(traj.times, np.array(sampled) * traj.dt)
-    assert len(traj.sampled_fields) == len(sampled)
-    assert_block_matches_loop(traj, model)
+    assert len(fields) == len(sampled)
+    assert_block_matches_loop(traj, fields, model)
     # the last sample is the final state; a snapshot on a sampled step is that sample
-    assert np.array_equal(traj.sampled_fields[-1].values, traj.final.values)
-    by_step = dict(zip(sampled, traj.sampled_fields))
+    assert np.array_equal(fields[-1].values, traj.final.values)
+    by_step = dict(zip(sampled, fields))
     assert [t for t, _ in traj.snapshots] == list(SNAP_TIMES)
     for t, snap in traj.snapshots:
         k = int(round(t / traj.dt))
@@ -99,11 +98,11 @@ def test_block_observers_equal_single_field_loop(name, overrides, stride):
 def test_strided_fields_are_the_stepped_states(name):
     # model C steps one step at a time, so a strided run samples the very
     # states an every-step run samples
-    _, every = run_preset(name, {}, 1)
-    _, strided = run_preset(name, {}, 7)
-    want = [f.values for f in every.sampled_fields[::7]] + [every.final.values]
-    assert len(strided.sampled_fields) == len(want)
-    for got, expected in zip(strided.sampled_fields, want):
+    _, every, every_fields = run_preset(name, {}, 1)
+    _, _, strided_fields = run_preset(name, {}, 7)
+    want = [f.values for f in every_fields[::7]] + [every.final.values]
+    assert len(strided_fields) == len(want)
+    for got, expected in zip(strided_fields, want):
         assert np.array_equal(got.values, expected)
 
 
@@ -124,12 +123,12 @@ def test_sample_counts_around_the_block_size(samples, model_name):
     initial = build_initial(InitialSpec("parabola"), grid, model)
     dt = 1e-4
     config = SolverConfig(dt=dt, t_end=(samples - 1) * dt, observe_every=1)
-    for keep in (False, True):
-        traj = run_transient(discretize(model, grid), initial, config, keep_fields=keep)
-        assert traj.steps == samples - 1
-        assert traj.times.size == samples
-        assert len(traj.sampled_fields) == (samples if keep else 0)
-    assert_block_matches_loop(traj, model)
+    d = discretize(model, grid)
+    traj = run_transient(d, initial, config)
+    assert traj.steps == samples - 1
+    assert traj.times.size == samples
+    _, fields = run_sampled(d, initial, config)
+    assert_block_matches_loop(traj, fields, model)
 
 
 def test_block_entropy_names_the_node():

@@ -25,6 +25,8 @@ from fokker_flux import (
 )
 from fokker_flux.transient import OBSERVER_BLOCK, _ExplicitStepper
 
+from sampled import run_sampled
+
 STRIDE = 7
 # 62 samples on the stride and a final step off it: one observer block for
 # models A and B; model C's block also takes the two snapshots off the stride
@@ -57,17 +59,16 @@ def recording(monkeypatch):
 def test_events_in_one_block_match_the_stride_1_run(model_name, scheme, dt):
     d, initial = setup(model_name)
     t_end = STEPS * dt
-    every = run_transient(
-        d, initial, SolverConfig(dt=dt, t_end=t_end, observe_every=1, scheme=scheme),
-        keep_fields=True,
+    every, fields = run_sampled(
+        d, initial, SolverConfig(dt=dt, t_end=t_end, observe_every=1, scheme=scheme)
     )
-    states = [field.values for field in every.sampled_fields]  # one per step
+    states = [field.values for field in fields]  # one per step
     # out of order: t_end, off the stride (20), two requests for step 30, t = 0,
     # on the stride (14)
     requests = [t_end, 20 * dt, 30.4 * dt, 0.0, 14 * dt, 29.6 * dt]
-    traj = run_transient(
+    traj, fields = run_sampled(
         d, initial, SolverConfig(dt=dt, t_end=t_end, observe_every=STRIDE, scheme=scheme),
-        snapshot_times=requests, keep_fields=True,
+        snapshot_times=requests,
     )
     # bit for bit for model C, which steps; A and B use powers of the step matrix
     tol = 0.0 if model_name == "C" else 1e-10
@@ -76,8 +77,8 @@ def test_events_in_one_block_match_the_stride_1_run(model_name, scheme, dt):
         assert np.max(np.abs(snap.values - states[k])) <= tol, k
     sampled = [*range(0, STEPS, STRIDE), STEPS]
     assert np.array_equal(traj.times, every.times[sampled])
-    assert len(traj.sampled_fields) == len(sampled)
-    for field, k in zip(traj.sampled_fields, sampled):
+    assert len(fields) == len(sampled)
+    for field, k in zip(fields, sampled):
         assert np.max(np.abs(field.values - states[k])) <= tol, k
     assert np.max(np.abs(traj.final.values - states[STEPS])) <= tol
     if model_name == "C":  # every step is a state of both runs
@@ -88,15 +89,15 @@ def test_events_in_one_block_match_the_stride_1_run(model_name, scheme, dt):
 @pytest.mark.parametrize("model_name, scheme, dt", SCHEMES)
 def test_zero_step_run(model_name, scheme, dt):
     d, initial = setup(model_name)
-    traj = run_transient(
+    traj, fields = run_sampled(
         d, initial, SolverConfig(dt=dt, t_end=0.0, observe_every=STRIDE, scheme=scheme),
-        snapshot_times=[0.0, 0.0], keep_fields=True,
+        snapshot_times=[0.0, 0.0],
     )
     assert traj.steps == 0
     assert np.array_equal(traj.times, [0.0])
     [(t, snap)] = traj.snapshots
     assert t == 0.0 and np.array_equal(snap.values, initial.values)
-    [field] = traj.sampled_fields
+    [field] = fields
     assert np.array_equal(field.values, initial.values)
     assert np.array_equal(traj.final.values, initial.values)
     assert (traj.min_value, traj.max_value) == (initial.values.min(), initial.values.max())
@@ -108,7 +109,7 @@ def test_explicit_c_divergence_at_an_unsampled_step(value, monkeypatch):
     dt, bad_step = 1e-4, 600  # in the second observer block, off the stride
     assert OBSERVER_BLOCK * STRIDE < bad_step < 2 * OBSERVER_BLOCK * STRIDE
     config = SolverConfig(dt=dt, t_end=1000 * dt, observe_every=STRIDE)
-    clean = run_transient(d, initial, config, keep_fields=True)
+    _, clean = run_sampled(d, initial, config)
     original = _ExplicitStepper.step
     calls = []
 
@@ -128,7 +129,7 @@ def test_explicit_c_divergence_at_an_unsampled_step(value, monkeypatch):
     rows = np.concatenate(observed)
     before = bad_step // STRIDE + 1
     assert rows.shape[0] == before
-    assert np.array_equal(rows, [field.values for field in clean.sampled_fields[:before]])
+    assert np.array_equal(rows, [field.values for field in clean[:before]])
 
 
 @pytest.mark.parametrize("model_name", ["A", "B"])

@@ -187,17 +187,6 @@ def test_numeric_positivity():
         assert stationary_numeric(discretize(m, g)).field.values.min() > 0.0
 
 
-def test_uniqueness_probe_guess_independent():
-    g = build_grid(200)
-    m = ModelSpec("A", 1.0, 0.9, LINEAR)
-    d = discretize(m, g)
-    base = stationary_numeric(d).field.values
-    rng = np.random.default_rng(7)
-    guess = base * np.exp(-g.nodes) + rng.normal(scale=0.3, size=g.n)
-    probed = stationary_numeric(d, guess=guess).field.values
-    assert np.max(np.abs(probed - base)) < 1e-12
-
-
 def test_residual_of_numeric_solution_below_tolerance():
     g = build_grid(200)
     for m in (ModelSpec("A", 1.0, 0.9, LINEAR), ModelSpec("B", 1.0, 0.9, LINEAR)):

@@ -33,6 +33,8 @@ import fokker_flux.transient as transient
 from fokker_flux.transient import _ExplicitStepper, _ImplicitStepper
 from fokker_flux.tridiag import solve_tridiagonal
 
+from sampled import run_sampled
+
 LINEAR = PotentialSpec("linear")
 ZERO = PotentialSpec("zero")
 MODEL_A = ModelSpec("A", 1.0, 0.9, LINEAR)
@@ -484,14 +486,6 @@ def test_positivity_and_box_at_exact_stability_bound():
     assert trajc.min_value >= -1e-12 and trajc.max_value <= 1.0 + 1e-12
 
 
-def test_run_keep_fields():
-    g = build_grid(50)
-    f = build_initial(InitialSpec("affine"), g, MODEL_A)
-    cfg = SolverConfig(dt=1e-5, t_end=0.0005, observe_every=10)
-    traj = run_transient(discretize(MODEL_A, g), f, cfg, keep_fields=True)
-    assert len(traj.sampled_fields) == traj.times.size
-
-
 def test_implicit_run_matches_stationary_long_time():
     g = build_grid(100)
     f = build_initial(InitialSpec("parabola"), g, MODEL_C)
@@ -537,10 +531,10 @@ def test_model_c_extrema_range_over_unsampled_steps(shape, scheme, dt, t_end, st
     f = DensityField(EXTREMUM_OFF_THE_STRIDE[shape](g.nodes), g)
     d = discretize(MODEL_C, g)
     # step by step: the run observed at every step keeps every state
-    every = run_transient(
-        d, f, SolverConfig(dt=dt, t_end=t_end, observe_every=1, scheme=scheme), keep_fields=True,
+    every, fields = run_sampled(
+        d, f, SolverConfig(dt=dt, t_end=t_end, observe_every=1, scheme=scheme)
     )
-    states = np.array([field.values for field in every.sampled_fields])
+    states = np.array([field.values for field in fields])
     assert len(states) == every.steps + 1
     lo, hi = float(states.min()), float(states.max())
     sampled = np.vstack([states[::stride], states[-1:]])
@@ -607,9 +601,9 @@ def test_propagator_matches_stepping(name, stride):
     config = preset_config(name)
     d, initial, dt = config.d, config.initial, config.solver.dt
     snap_time = 0.0037  # step 740, on no observer stride
-    traj = run_transient(
+    traj, got_fields = run_sampled(
         d, initial, SolverConfig(dt=dt, t_end=0.01, observe_every=stride),
-        snapshot_times=[snap_time], keep_fields=True,
+        snapshot_times=[snap_time],
     )
     # reference: the explicit stepper applied one step at a time
     stepper = _ExplicitStepper(d)
@@ -626,8 +620,8 @@ def test_propagator_matches_stepping(name, stride):
             fields.append(rho.copy())
     assert traj.steps == steps
     assert np.array_equal(traj.times, np.array(sampled) * dt)
-    assert len(traj.sampled_fields) == len(fields)
-    for got, want in zip(traj.sampled_fields, fields):
+    assert len(got_fields) == len(fields)
+    for got, want in zip(got_fields, fields):
         assert np.max(np.abs(got.values - want)) <= 1e-10
     assert np.max(np.abs(traj.final.values - rho)) <= 1e-10
     assert [t for t, _ in traj.snapshots] == [snap_time]

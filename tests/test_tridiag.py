@@ -5,7 +5,6 @@ from fokker_flux import IterationError
 from fokker_flux.tridiag import (
     apply_tridiagonal,
     invert_tridiagonal,
-    solve_refined,
     solve_tridiagonal,
 )
 
@@ -39,14 +38,6 @@ def test_apply_is_inverse_of_solve():
     lower, diag, upper, rhs = random_dominant_system(rng, 100)
     x = solve_tridiagonal(lower, diag, upper, rhs)
     assert np.max(np.abs(apply_tridiagonal(lower, diag, upper, x) - rhs)) < 1e-13
-
-
-def test_refined_solve_guess_independent():
-    rng = np.random.default_rng(2)
-    lower, diag, upper, rhs = random_dominant_system(rng, 200)
-    plain = solve_refined(lower, diag, upper, rhs)
-    probed = solve_refined(lower, diag, upper, rhs, guess=rng.normal(size=200))
-    assert np.max(np.abs(plain - probed)) < 1e-12
 
 
 def thomas_numpy_scalars(lower, diag, upper, rhs):
