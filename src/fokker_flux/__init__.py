@@ -7,6 +7,27 @@ implicit entropy-variable scheme, relative-entropy diagnostics and Robin
 eigenvalue rate predictions.
 """
 
+import os
+
+# The package's dense products (the A/B propagator, the model-C chord) are
+# small: at n = 200 one takes well under a millisecond on one core.
+# OpenBLAS starts one thread per core when numpy loads, and on shared cores
+# those threads only wait for each other inside every product: on a 2-core
+# VM with one busy process beside it, an entropy-A run took 26-260 ms with
+# the default threads and 22-38 ms with one. OpenBLAS reads its thread count
+# once, when it loads, so numpy is loaded here on one thread unless the
+# caller has chosen a count, and the variable is removed again so that child
+# processes inherit nothing. If numpy is already loaded, its count stays.
+if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                           "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del os
+
 from .domain import (
     DensityField,
     Discretization,

@@ -250,7 +250,9 @@ def fit_exponential_rate(
     form with both coordinates centered: ``slope = -sum(tc yc) / sum(tc^2)`` for
     ``tc = t - mean(t)`` and ``yc = y - mean(y)``, and ``intercept =
     exp(mean(y) + slope mean(t))``. The products are summed pairwise by
-    ``np.sum``, not by a BLAS dot product, which may thread long vectors.
+    ``np.sum``, not by a BLAS dot product, whose partial sums depend on the
+    BLAS thread count: the fit gives the same bits whichever count numpy's
+    OpenBLAS started with.
     The window's times, its logarithms and one work array are all it holds.
     """
     times = np.asarray(times, dtype=np.float64)

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blas import serial_blas
 from .domain import DensityField, Discretization, FloatArray, Grid, node_average, trapezoid
 from .entropy import default_kind, entropy, l1_distance
 from .errors import (
@@ -766,10 +765,11 @@ def run_transient(
     the final step) in blocks of about ``OBSERVER_BLOCK``, with the extrema
     of the states it has computed: models A and B on the explicit scheme
     with powers of the affine step matrix (:func:`_propagated`), model C
-    step by step (:func:`_stepped`), on one BLAS thread. Each observer runs
-    once per block, on all its samples at once. A series too long to
-    allocate is a ConfigError, and so is a step matrix too large to
-    allocate.
+    step by step (:func:`_stepped`); their dense products run on one BLAS
+    thread when the package loaded numpy (see the package ``__init__``).
+    Each observer runs once per block, on all its samples at once. A series
+    too long to allocate is a ConfigError, and so is a step matrix too
+    large to allocate.
     """
     model, grid = d.model, d.grid
     implicit = config.scheme == "implicit-entropy"
@@ -788,7 +788,7 @@ def run_transient(
 
     snap_lookup: dict[int, float] = {}
     for t_req in snapshot_times:
-        if t_req < 0 or t_req > config.t_end + 1e-12:
+        if not 0.0 <= t_req <= config.t_end + 1e-12:  # false for NaN too
             raise ConfigError(f"snapshot time {t_req} outside [0, {config.t_end}]")
         snap_lookup.setdefault(min(steps, int(round(t_req / dt))), float(t_req))
 
@@ -807,36 +807,33 @@ def run_transient(
     done = 0  # samples evaluated
 
     generate = _stepped if implicit or model.crowded else _propagated
-    # small dense products (the propagator, the implicit scheme's chord
-    # iterations): more BLAS threads only wait for each other (blas.py)
-    with serial_blas():
-        for ks, rows, lo, hi in generate(rho, stepper, dt, stride, sorted({*snap_lookup, steps})):
-            sampled = (ks % stride == 0) | (ks == steps)
-            bad = len(ks)  # the first row with a non-finite value
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                # the last row when no earlier one is non-finite, even if it is finite
-                bad = int(np.argmin(np.append(np.isfinite(rows[:-1]).all(axis=1), False)))
-                sampled[bad:] = False
-            states = rows if sampled.all() else rows[sampled]  # samples only: in place
-            if len(states):  # an observer error of an earlier sample comes first
-                span = slice(done, done + len(states))
-                times[span] = ks[sampled] * dt
-                ent[span] = entropy(kind, states, ref_field)
-                mass_tz[span] = trapezoid(states, grid.dx)
-                mass_na[span] = node_average(states)
-                l1s[span] = l1_distance(states, ref_field)
-                resid[span] = residual_stationary(states, d)
-                outflow[span] = states[:, -1]
-                done += len(states)
-            if bad < len(ks):
-                k = int(ks[bad])
-                raise DivergenceError(
-                    f"non-finite values at step {k}, t={k * dt:.6g}", step=k, time=k * dt
-                )
-            if snap_lookup:
-                for i, k in enumerate(ks.tolist()):
-                    if k in snap_lookup:
-                        snapshots.append((snap_lookup[k], DensityField(rows[i].copy(), grid)))
+    for ks, rows, lo, hi in generate(rho, stepper, dt, stride, sorted({*snap_lookup, steps})):
+        sampled = (ks % stride == 0) | (ks == steps)
+        bad = len(ks)  # the first row with a non-finite value
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            # the last row when no earlier one is non-finite, even if it is finite
+            bad = int(np.argmin(np.append(np.isfinite(rows[:-1]).all(axis=1), False)))
+            sampled[bad:] = False
+        states = rows if sampled.all() else rows[sampled]  # samples only: in place
+        if len(states):  # an observer error of an earlier sample comes first
+            span = slice(done, done + len(states))
+            times[span] = ks[sampled] * dt
+            ent[span] = entropy(kind, states, ref_field)
+            mass_tz[span] = trapezoid(states, grid.dx)
+            mass_na[span] = node_average(states)
+            l1s[span] = l1_distance(states, ref_field)
+            resid[span] = residual_stationary(states, d)
+            outflow[span] = states[:, -1]
+            done += len(states)
+        if bad < len(ks):
+            k = int(ks[bad])
+            raise DivergenceError(
+                f"non-finite values at step {k}, t={k * dt:.6g}", step=k, time=k * dt
+            )
+        if snap_lookup:
+            for i, k in enumerate(ks.tolist()):
+                if k in snap_lookup:
+                    snapshots.append((snap_lookup[k], DensityField(rows[i].copy(), grid)))
 
     for series in (times, ent, mass_tz, mass_na, l1s, resid, outflow):
         series.setflags(write=False)

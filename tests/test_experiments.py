@@ -73,7 +73,15 @@ def test_config_rejects_unknown_fields():
 
 def test_config_snapshot_times_within_range():
     with pytest.raises(ConfigError, match="snapshot"):
-        config_from_dict(dict(TINY, snapshot_times=[1.0]))
+        execute(config_from_dict(dict(TINY, snapshot_times=[1.0])))
+
+
+def test_snapshot_one_ulp_past_t_end_is_the_final_step():
+    late = math.nextafter(TINY["t_end"], math.inf)
+    _, tr = execute(config_from_dict(dict(TINY, snapshot_times=[late])))
+    [(t, snap)] = tr.snapshots
+    assert t == late
+    np.testing.assert_array_equal(snap.values, tr.final.values)
 
 
 def test_config_gamma_needs_scaled_potential():
@@ -561,6 +569,13 @@ def test_cli_run_and_preset_print_the_summary_block(tmp_path, capsys):
     data["t_end"] = 0.05  # too short to fit: no rate line
     assert main(["run", "--config", str(write_config(tmp_path, data)), "--out", str(out)]) == 0
     assert printed() == f"run finished: 1000 steps, wrote artifacts to {out}\nwall clock: T s\n"
+
+
+def test_cli_nan_snapshot_time_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, dict(TINY, snapshot_times=[math.nan]))
+    assert "NaN" in cfg_path.read_text(encoding="utf-8")  # json.loads reads it back as nan
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "snapshot time nan" in capsys.readouterr().err
 
 
 def test_cli_invalid_config_exits_2(tmp_path, capsys):

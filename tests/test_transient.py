@@ -447,6 +447,18 @@ def test_run_snapshot_beyond_end_rejected():
         )
 
 
+def test_run_nan_snapshot_time_rejected():
+    from fokker_flux import ConfigError
+
+    g = build_grid(50)
+    f = build_initial(InitialSpec("affine"), g, MODEL_A)
+    with pytest.raises(ConfigError, match="snapshot time nan"):
+        run_transient(
+            discretize(MODEL_A, g), f, SolverConfig(dt=1e-5, t_end=0.001),
+            snapshot_times=[math.nan],
+        )
+
+
 def test_solver_config_validation():
     from fokker_flux import ConfigError
 
