@@ -42,6 +42,12 @@ from .tridiag import invert_tridiagonal, solve_tridiagonal
 _STEP_LIMIT = 2**63
 
 
+def _check_dt(dt: float) -> None:
+    """Raise ConfigError unless the time step ``dt`` is finite and positive."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"time step must be positive, got {dt}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping parameters.
@@ -59,8 +65,7 @@ class SolverConfig:
     scheme: str = "explicit"
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigError(f"time step must be positive, got {self.dt}")
+        _check_dt(self.dt)
         if not 0.0 <= self.t_end / self.dt < _STEP_LIMIT:
             raise ConfigError(
                 f"final time must be nonnegative and t_end / dt finite and below 2**63, got "
@@ -403,6 +408,7 @@ def step_explicit(rho: DensityField, d: Discretization, dt: float) -> DensityFie
     """One explicit step of ``rho``, a field on ``d.grid``; requires ``dt <= d.max_dt``
     and, for models A and B, the positivity certificate of
     :meth:`_ExplicitStepper.step_band` (StabilityError otherwise)."""
+    _check_dt(dt)
     work = DensityField(rho.values, d.grid).values.copy()
     _check_cfl(d, dt)
     stepper = _ExplicitStepper(d)
@@ -423,9 +429,10 @@ class _ImplicitStepper:
     the nonlinear system is solved by damped Newton on the cell balances;
     ``solves`` counts the Newton iterations (one Thomas solve each).
 
-    The terms of the balances that depend only on ``(rho_old, dt)`` are
-    formed once per Newton solve (:meth:`_balance`), and the one that
-    depends only on ``dt`` once per step size: one evaluation of ``G``
+    A stepper serves one step size ``dt``. The term of the balances that
+    depends only on ``dt``, ``coef``, is formed once, when the stepper is
+    built for the run's ``dt``, and the one that depends only on ``rho_old``
+    once per Newton solve (:meth:`_base`): one evaluation of ``G``
     (:meth:`_residual`) takes 18 numpy calls and its norm 3, and a run's
     step with one chord iteration 50, its start (one product), the copy of
     its iterate and the run's running extrema included (61 when each
@@ -433,14 +440,13 @@ class _ImplicitStepper:
     step).
 
     Up to ``n = CHORD_MAX_N`` the stepper also holds ``inverse``, the dense
-    inverse of a recent Newton Jacobian, formed for the step size
-    ``inverse_dt``. A solve from an extrapolated guess first takes chord
-    iterations ``u <- u - inverse G(u)`` (counted in ``chord_iterations``)
-    and falls back to damped Newton, refreshing the inverse, when one
-    stops contracting (see :meth:`_newton`).
+    inverse of a recent Newton Jacobian. A solve from an extrapolated guess
+    first takes chord iterations ``u <- u - inverse G(u)`` (counted in
+    ``chord_iterations``) and falls back to damped Newton, refreshing the
+    inverse, when one stops contracting (see :meth:`_newton`).
     """
 
-    def __init__(self, d: Discretization):
+    def __init__(self, d: Discretization, dt: float):
         if d.model.model != "C":
             raise InvalidModelError("the entropy-variable scheme applies to model C")
         self.dx = d.grid.dx
@@ -448,6 +454,9 @@ class _ImplicitStepper:
         # the reaction alpha - rho decay, times vol
         self.vol_alpha = self.vol * d.model.alpha
         self.vol_decay = self.vol * d.decay
+        # the time and reaction terms' factor of rho - rho_old: vol/dt + vol decay
+        self.coef = self.vol / dt
+        self.coef += self.vol_decay
         n = d.grid.n
         # work arrays; what _residual returns is fresh, so a discarded trial
         # never overwrites the kept iterate
@@ -455,9 +464,8 @@ class _ImplicitStepper:
         self.s, self.du, self.flux = (np.empty(n - 1) for _ in range(3))
         self.solves = self.most_solves = 0  # most_solves: the most in one step of a run
         self.chord = n <= CHORD_MAX_N
-        self.inverse = self.inverse_dt = None
+        self.inverse = None
         self.chord_iterations = 0
-        self.coef = self.coef_dt = None  # see _balance
 
     @staticmethod
     def _logistic(z: FloatArray, work: FloatArray | None = None) -> FloatArray:
@@ -475,23 +483,17 @@ class _ImplicitStepper:
     def entropy_variable(self, rho: FloatArray) -> FloatArray:
         return np.log(rho / (1.0 - rho)) - self.v
 
-    def _balance(self, rho_old: FloatArray, dt: float):
-        """The terms of the cell balances that depend only on ``(rho_old, dt)``:
-        ``coef = vol/dt + vol decay`` and ``base = vol alpha - vol decay rho_old``,
-        with ``decay = Discretization.decay``. ``coef`` is held with the ``dt``
-        it was formed for (``coef_dt``) and formed again only for another
-        ``dt``; ``base`` is new in every call."""
-        if self.coef_dt != dt:
-            self.coef = self.vol / dt
-            self.coef += self.vol_decay
-            self.coef_dt = dt
+    def _base(self, rho_old: FloatArray) -> FloatArray:
+        """The term of the cell balances that depends only on ``rho_old``, as a
+        new array: ``base = vol alpha - vol decay rho_old``, with
+        ``decay = Discretization.decay``."""
         base = np.multiply(rho_old, self.vol_decay)
         np.subtract(self.vol_alpha, base, out=base)
-        return self.coef, base
+        return base
 
-    def _residual(self, u: FloatArray, rho_old: FloatArray, coef: FloatArray, base: FloatArray):
-        """Cell balances ``G(u)`` and the density, both new arrays; ``coef`` and
-        ``base`` from :meth:`_balance`.
+    def _residual(self, u: FloatArray, rho_old: FloatArray, base: FloatArray):
+        """Cell balances ``G(u)`` and the density, both new arrays; ``base``
+        from :meth:`_base`.
 
         ``G = (rho - rho_old) coef - base + div(flux)``, which is
         ``vol (rho - rho_old)/dt + div(flux) - vol (alpha - rho decay)``; the
@@ -507,15 +509,15 @@ class _ImplicitStepper:
         flux *= np.subtract(u[1:], u[:-1], out=self.du)
         flux *= -0.25 / self.dx
         G = np.subtract(rho, rho_old)
-        G *= coef
+        G *= self.coef
         G -= base
         G[:-1] += flux
         G[1:] -= flux
         return G, rho
 
-    def _jacobian(self, u: FloatArray, rho: FloatArray, coef: FloatArray):
+    def _jacobian(self, u: FloatArray, rho: FloatArray):
         """Tridiagonal Jacobian ``(lower, diag, upper)`` of ``G`` in u at ``u``,
-        ``rho`` its density and ``coef`` from :meth:`_balance`."""
+        ``rho`` its density."""
         dx = self.dx
         sig = rho * (1.0 - rho)
         mean = 0.5 * (rho[:-1] + rho[1:])
@@ -524,7 +526,7 @@ class _ImplicitStepper:
         du = u[1:] - u[:-1]
         dflux_left = (-dmob * 0.5 * sig[:-1] * du + mob) / dx
         dflux_right = (-dmob * 0.5 * sig[1:] * du - mob) / dx
-        diag = sig * coef  # d/du of rho coef: the time and reaction terms
+        diag = sig * self.coef  # d/du of rho coef: the time and reaction terms
         diag[0] += dflux_left[0]
         diag[1:-1] += dflux_left[1:] - dflux_right[:-1]
         diag[-1] -= dflux_right[-1]
@@ -534,30 +536,30 @@ class _ImplicitStepper:
         scaled = np.divide(G, self.vol, out=self.scaled)
         return float(np.maximum.reduce(np.abs(scaled, out=scaled)))
 
-    def _newton(self, u: FloatArray, rho_old: FloatArray, dt: float, chord: bool = False):
+    def _newton(self, u: FloatArray, rho_old: FloatArray, chord: bool = False):
         """Damped Newton from ``u``: the new density and the accepted iterate.
 
         A line-search trial evaluates only ``G``; the accepted trial point is
         the next Newton iterate, so its ``G`` is not evaluated again.
 
         With ``chord``, chord iterations with the held inverse come first
-        when it was formed for this ``dt``. A chord trial is kept only if it
-        meets the tolerance or cuts the residual norm by
-        ``CHORD_CONTRACTION``; the first that does neither is discarded, and
-        damped Newton continues from the last kept iterate, its first
-        Jacobian replacing the inverse. Chord and Newton iterations share
-        ``NEWTON_MAX_ITER``; the settings are read at each call.
+        when there is one. A chord trial is kept only if it meets the
+        tolerance or cuts the residual norm by ``CHORD_CONTRACTION``; the
+        first that does neither is discarded, and damped Newton continues
+        from the last kept iterate, its first Jacobian replacing the inverse.
+        Chord and Newton iterations share ``NEWTON_MAX_ITER``; the settings
+        are read at each call.
         """
-        coef, base = self._balance(rho_old, dt)
-        G, rho = self._residual(u, rho_old, coef, base)
+        base = self._base(rho_old)
+        G, rho = self._residual(u, rho_old, base)
         norm = self._norm(G)
         iterations = 0
-        if chord and self.inverse_dt == dt:
+        if chord and self.inverse is not None:
             while iterations < NEWTON_MAX_ITER and not norm < NEWTON_TOLERANCE:
                 iterations += 1
                 self.chord_iterations += 1
                 trial = u - self.inverse @ G
-                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
+                trial_G, trial_rho = self._residual(trial, rho_old, base)
                 trial_norm = self._norm(trial_G)
                 if not (trial_norm < NEWTON_TOLERANCE or trial_norm <= CHORD_CONTRACTION * norm):
                     break
@@ -566,11 +568,11 @@ class _ImplicitStepper:
             if norm < NEWTON_TOLERANCE:
                 return rho, u
             self.solves += 1
-            jacobian = self._jacobian(u, rho, coef)
+            jacobian = self._jacobian(u, rho)
             try:
                 delta = solve_tridiagonal(*jacobian, -G)
                 if chord:
-                    self.inverse, self.inverse_dt = invert_tridiagonal(*jacobian), dt
+                    self.inverse = invert_tridiagonal(*jacobian)
                     chord = False
             except IterationError as err:
                 raise StepFailureError(
@@ -580,7 +582,7 @@ class _ImplicitStepper:
             # NEWTON_MAX_BACKTRACKS trials; without a decrease the next, smaller step is taken as is
             for _ in range(NEWTON_MAX_BACKTRACKS + 1):
                 trial = u + damping * delta
-                trial_G, trial_rho = self._residual(trial, rho_old, coef, base)
+                trial_G, trial_rho = self._residual(trial, rho_old, base)
                 trial_norm = self._norm(trial_G)
                 if trial_norm < norm:
                     break
@@ -594,7 +596,7 @@ class _ImplicitStepper:
             residual=norm,
         )
 
-    def solve(self, rho_old: FloatArray, dt: float, guess: FloatArray | None = None):
+    def solve(self, rho_old: FloatArray, guess: FloatArray | None = None):
         """One backward-Euler step: the new density and its entropy variable.
 
         Newton starts from ``guess``, or without one from the entropy
@@ -609,14 +611,10 @@ class _ImplicitStepper:
         """
         if guess is not None:
             try:
-                return self._newton(guess, rho_old, dt, self.chord)
+                return self._newton(guess, rho_old, self.chord)
             except StepFailureError:
                 pass
-        return self._newton(self.entropy_variable(rho_old), rho_old, dt)
-
-    def step(self, rho_old: FloatArray, dt: float) -> FloatArray:
-        """One backward-Euler step from ``rho_old``: the new density."""
-        return self.solve(rho_old, dt)[0]
+        return self._newton(self.entropy_variable(rho_old), rho_old)
 
 
 def step_implicit_entropy(rho: DensityField, d: Discretization, dt: float) -> DensityField:
@@ -625,10 +623,10 @@ def step_implicit_entropy(rho: DensityField, d: Discretization, dt: float) -> De
     The previous state must lie on ``d.grid`` and strictly inside (0, 1);
     the returned state does so by construction.
     """
+    _check_dt(dt)
     field_ = DensityField(rho.values, d.grid)
     field_.validate_for_model(d.model, strict_box=True)
-    stepper = _ImplicitStepper(d)
-    return DensityField(stepper.step(field_.values, dt), d.grid)
+    return DensityField(_ImplicitStepper(d, dt).solve(field_.values)[0], d.grid)
 
 
 def _propagated(rho: FloatArray, stepper: _ExplicitStepper, dt: float, stride: int, events):
@@ -720,7 +718,7 @@ def _stepped(rho: FloatArray, stepper, dt: float, stride: int, events):
             if weights is not None:
                 guess = np.dot(weights, ring[end - len(weights) : end], out=start)
             try:
-                rho, u = stepper.solve(rho, dt, guess)
+                rho, u = stepper.solve(rho, guess)
             except StepFailureError as err:
                 raise StepFailureError(
                     f"implicit step failed at t={k * dt:.6g}: {err}",
@@ -781,7 +779,7 @@ def run_transient(
     dt = config.dt
     steps = int(round(config.t_end / dt))
     if implicit:
-        stepper = _ImplicitStepper(d)
+        stepper = _ImplicitStepper(d, dt)
     else:
         _check_cfl(d, dt)
         stepper = _ExplicitStepper(d)

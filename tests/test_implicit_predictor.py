@@ -1,8 +1,8 @@
 """The implicit scheme's extrapolated Newton start against a constant start.
 
-``constant_start_step`` is the step of the implicit scheme as it was before
-runs extrapolated Newton's start in time: damped Newton from the entropy
-variable of the previous state, with the line search that accepts the trial
+``plain_newton`` from the entropy variable of the previous state is the
+step of the implicit scheme as it was before runs extrapolated Newton's
+start in time: damped Newton with the line search that accepts the trial
 point as the next iterate. A run made with it is the reference.
 """
 
@@ -27,28 +27,6 @@ from fokker_flux.transient import _ImplicitStepper
 MODEL_C = ModelSpec("C", 1.0, 0.9, PotentialSpec("linear"))
 
 
-def constant_start_step(stepper, rho_old, dt):
-    u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
-    coef, base = stepper._balance(rho_old, dt)
-    G, rho = stepper._residual(u, rho_old, coef, base)
-    norm = stepper._norm(G)
-    for _ in range(transient.NEWTON_MAX_ITER):
-        if norm < transient.NEWTON_TOLERANCE:
-            return rho
-        delta = transient.solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
-        damping = 1.0
-        for _ in range(transient.NEWTON_MAX_BACKTRACKS + 1):
-            trial = u + damping * delta
-            trial_G, trial_rho = stepper._residual(trial, rho_old, coef, base)
-            trial_norm = stepper._norm(trial_G)
-            if trial_norm < norm:
-                break
-            damping *= 0.5
-        u, G, rho, norm = trial, trial_G, trial_rho, trial_norm
-    assert norm < transient.NEWTON_TOLERANCE
-    return rho
-
-
 def implicit_config(dt, n, t_end):
     return preset_config("entropy-C", {
         "scheme": "implicit-entropy", "dt": dt, "n": n, "t_end": t_end, "observe_every": 1,
@@ -57,8 +35,8 @@ def implicit_config(dt, n, t_end):
 
 def run_constant_start(config, monkeypatch):
     with monkeypatch.context() as patch:
-        def solve(self, rho_old, dt, guess=None):
-            rho = constant_start_step(self, rho_old, dt)
+        def solve(self, rho_old, guess=None):
+            rho = plain_newton(self, self.entropy_variable(rho_old), rho_old)[0]
             return rho, self.entropy_variable(rho)
 
         patch.setattr(_ImplicitStepper, "solve", solve)
@@ -139,13 +117,14 @@ def test_run_starts_each_step_from_its_row_and_the_last_accepted_iterates(monkey
     # 20 steps: every row of the table, and the ring of the last eight
     # iterates wraps around twice
     config = implicit_config(1e-3, 40, 0.02)
-    iterates = [_ImplicitStepper(config.d).entropy_variable(config.initial.values)]
+    stepper = _ImplicitStepper(config.d, config.solver.dt)
+    iterates = [stepper.entropy_variable(config.initial.values)]
     starts = []
     solve = _ImplicitStepper.solve
 
-    def recorded(self, rho_old, dt, guess=None):
+    def recorded(self, rho_old, guess=None):
         starts.append(None if guess is None else guess.copy())
-        rho, u = solve(self, rho_old, dt, guess)
+        rho, u = solve(self, rho_old, guess)
         iterates.append(u.copy())
         return rho, u
 
@@ -167,8 +146,8 @@ def test_run_with_starts_in_held_buffers_is_the_run_with_fresh_ones(monkeypatch)
     accepted_starts = []
     solve = _ImplicitStepper.solve
 
-    def recorded(self, rho_old, dt, guess=None):
-        rho, u = solve(self, rho_old, dt, guess)
+    def recorded(self, rho_old, guess=None):
+        rho, u = solve(self, rho_old, guess)
         accepted_starts.append(guess is not None and u is guess)
         return rho, u
 
@@ -176,8 +155,8 @@ def test_run_with_starts_in_held_buffers_is_the_run_with_fresh_ones(monkeypatch)
     _, traj = execute(config)
     assert sum(accepted_starts) > 0
 
-    def fresh(self, rho_old, dt, guess=None):
-        return solve(self, rho_old, dt, None if guess is None else guess.copy())
+    def fresh(self, rho_old, guess=None):
+        return solve(self, rho_old, None if guess is None else guess.copy())
 
     monkeypatch.setattr(_ImplicitStepper, "solve", fresh)
     _, ref = execute(config)
@@ -232,8 +211,8 @@ def test_quartic_start_counts_on_the_benchmark_configuration(seed, a, b, monkeyp
 def test_failed_extrapolated_start_is_retried_from_previous_state(monkeypatch):
     g = build_grid(60)
     rho_old = np.random.default_rng(4).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g))
-    want = constant_start_step(stepper, rho_old, 1e-2)
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), 1e-2)
+    want = plain_newton(stepper, stepper.entropy_variable(rho_old), rho_old)[0]
     thomas = transient.solve_tridiagonal
     calls = []
 
@@ -245,7 +224,7 @@ def test_failed_extrapolated_start_is_retried_from_previous_state(monkeypatch):
 
     monkeypatch.setattr(transient, "solve_tridiagonal", singular_first)
     guess = stepper.entropy_variable(rho_old) + 0.1
-    rho, u = stepper.solve(rho_old, 1e-2, guess)
+    rho, u = stepper.solve(rho_old, guess)
     assert np.array_equal(rho, want)
     assert np.array_equal(rho, stepper._logistic(u + stepper.v))
     assert stepper.solves == len(calls) >= 2
@@ -304,21 +283,21 @@ def test_logistic_equals_the_branched_form():
         assert np.array_equal(_ImplicitStepper._logistic(z), branched_logistic(z))
 
 
-def plain_newton(stepper, u, rho_old, dt):
+def plain_newton(stepper, u, rho_old):
     """Damped Newton from ``u`` with no chord iterations: the new density
     and the accepted iterate, as the implicit step made them before it held
     a Jacobian inverse."""
-    coef, base = stepper._balance(rho_old, dt)
-    G, rho = stepper._residual(u, rho_old, coef, base)
+    base = stepper._base(rho_old)
+    G, rho = stepper._residual(u, rho_old, base)
     norm = stepper._norm(G)
     for _ in range(transient.NEWTON_MAX_ITER):
         if norm < transient.NEWTON_TOLERANCE:
             return rho, u
-        delta = transient.solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
+        delta = transient.solve_tridiagonal(*stepper._jacobian(u, rho), -G)
         damping = 1.0
         for _ in range(transient.NEWTON_MAX_BACKTRACKS + 1):
             trial = u + damping * delta
-            trial_G, trial_rho = stepper._residual(trial, rho_old, coef, base)
+            trial_G, trial_rho = stepper._residual(trial, rho_old, base)
             trial_norm = stepper._norm(trial_G)
             if trial_norm < norm:
                 break
@@ -329,13 +308,13 @@ def plain_newton(stepper, u, rho_old, dt):
     raise StepFailureError(f"no convergence (residual {norm:.3e})", residual=norm)
 
 
-def plain_solve(self, rho_old, dt, guess=None):
+def plain_solve(self, rho_old, guess=None):
     if guess is not None:
         try:
-            return plain_newton(self, guess, rho_old, dt)
+            return plain_newton(self, guess, rho_old)
         except StepFailureError:
             pass
-    return plain_newton(self, self.entropy_variable(rho_old), rho_old, dt)
+    return plain_newton(self, self.entropy_variable(rho_old), rho_old)
 
 
 @pytest.mark.parametrize(
@@ -367,18 +346,18 @@ def test_bad_held_inverse_falls_back_to_newton():
     g = build_grid(60)
     dt = 1e-2
     rho_old = np.random.default_rng(6).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g))
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), dt)
     guess = stepper.entropy_variable(rho_old) + 0.05
-    coef, base = stepper._balance(rho_old, dt)
-    G, rho = stepper._residual(guess, rho_old, coef, base)
-    inverse = transient.invert_tridiagonal(*stepper._jacobian(guess, rho, coef))
-    stepper.inverse, stepper.inverse_dt = 2.0 * inverse, dt  # the chord step overshoots 2x
-    rho, u = stepper.solve(rho_old, dt, guess)
+    base = stepper._base(rho_old)
+    G, rho = stepper._residual(guess, rho_old, base)
+    inverse = transient.invert_tridiagonal(*stepper._jacobian(guess, rho))
+    stepper.inverse = 2.0 * inverse  # the chord step overshoots 2x
+    rho, u = stepper.solve(rho_old, guess)
     assert stepper.chord_iterations == 1  # the one trial, discarded
     assert stepper.solves >= 1
-    assert stepper._norm(stepper._residual(u, rho_old, coef, base)[0]) < transient.NEWTON_TOLERANCE
+    assert stepper._norm(stepper._residual(u, rho_old, base)[0]) < transient.NEWTON_TOLERANCE
     # Newton continued from the guess, and its first Jacobian is the one at the guess
-    want_rho, want_u = plain_newton(stepper, guess, rho_old, dt)
+    want_rho, want_u = plain_newton(stepper, guess, rho_old)
     assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
     assert np.array_equal(stepper.inverse, inverse)
 
@@ -402,31 +381,15 @@ def test_retry_and_step_without_guess_take_no_chord_iterations():
     g = build_grid(60)
     dt = 1e-2
     rho_old = np.random.default_rng(7).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g))
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), dt)
     start = stepper.entropy_variable(rho_old)
-    want_rho, want_u = plain_newton(stepper, start, rho_old, dt)
-    coef, base = stepper._balance(rho_old, dt)
-    G, rho = stepper._residual(start, rho_old, coef, base)
-    stepper.inverse = transient.invert_tridiagonal(*stepper._jacobian(start, rho, coef))
-    stepper.inverse_dt = dt
-    assert np.array_equal(stepper.step(rho_old, dt), want_rho)
+    want_rho, want_u = plain_newton(stepper, start, rho_old)
+    G, rho = stepper._residual(start, rho_old, stepper._base(rho_old))
+    stepper.inverse = transient.invert_tridiagonal(*stepper._jacobian(start, rho))
+    assert np.array_equal(stepper.solve(rho_old)[0], want_rho)
     assert stepper.chord_iterations == 0
     # a NaN guess fails after one chord trial; the retry from the previous
     # state is plain Newton
-    rho, u = stepper.solve(rho_old, dt, np.full(g.n, np.nan))
+    rho, u = stepper.solve(rho_old, np.full(g.n, np.nan))
     assert stepper.chord_iterations == 1
     assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
-
-
-def test_stepper_across_step_sizes_is_a_fresh_stepper_at_each():
-    g = build_grid(60)
-    d = discretize(MODEL_C, g)
-    rho = np.random.default_rng(8).uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(d)
-    for dt in (1e-2, 3e-3, 1e-2):
-        want = _ImplicitStepper(d).step(rho, dt)
-        rho = stepper.step(rho, dt)
-        assert np.array_equal(rho, want)
-        assert np.array_equal(stepper._balance(rho, dt)[0], d.volumes / dt + stepper.vol_decay)
-    # coef is formed once per step size: the same array while dt stays
-    assert stepper._balance(rho, 1e-2)[0] is stepper._balance(0.5 * rho, 1e-2)[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fokker_flux import (
+    ConfigError,
     DensityField,
     DivergenceError,
     InitialSpec,
@@ -153,6 +154,18 @@ def test_step_explicit_checks_the_positivity_certificate(monkeypatch):
         assert step_explicit(state, d, 5e-6).values.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "model, step",
+    [(MODEL_A, step_explicit), (MODEL_C, step_explicit), (MODEL_C, step_implicit_entropy)],
+    ids=["explicit-A", "explicit-C", "implicit-C"],
+)
+def test_one_step_rejects_a_time_step_that_is_not_finite_and_positive(model, step, dt):
+    g = build_grid(40)
+    with pytest.raises(ConfigError, match="time step must be positive"):
+        step(build_initial(InitialSpec("parabola"), g, model), discretize(model, g), dt)
+
+
 def test_step_explicit_fixed_point_model_B():
     g = build_grid(200)
     d = discretize(MODEL_B, g)
@@ -219,6 +232,17 @@ def test_implicit_step_fixed_point():
     assert np.max(np.abs(out.values - sol.field.values)) < 1e-10
 
 
+def test_implicit_step_is_the_one_step_run():
+    # both take plain Newton from the entropy variable of the initial state
+    g = build_grid(40)
+    d = discretize(MODEL_C, g)
+    initial = build_initial(InitialSpec("parabola"), g, MODEL_C)
+    dt = 1e-3
+    run = run_transient(d, initial, SolverConfig(dt, t_end=dt, scheme="implicit-entropy"))
+    assert run.steps == 1
+    assert step_implicit_entropy(initial, d, dt).values.tobytes() == run.final.values.tobytes()
+
+
 def test_implicit_step_stays_in_open_box():
     g = build_grid(100)
     rng = np.random.default_rng(3)
@@ -269,28 +293,28 @@ def test_implicit_entropy_dissipation_per_step():
         e_prev = e_new
 
 
-def reference_newton(stepper, rho_old, dt):
+def reference_newton(stepper, rho_old):
     """Damped Newton evaluating G afresh at every iterate; None on failure."""
 
     def norm_of(G):
         return float(np.max(np.abs(G / stepper.vol)))
 
     u = np.log(rho_old / (1.0 - rho_old)) - stepper.v
-    coef, base = stepper._balance(rho_old, dt)
+    base = stepper._base(rho_old)
     for _ in range(transient.NEWTON_MAX_ITER):
-        G, rho = stepper._residual(u, rho_old, coef, base)
+        G, rho = stepper._residual(u, rho_old, base)
         norm = norm_of(G)
         if norm < transient.NEWTON_TOLERANCE:
             return stepper._logistic(u + stepper.v)
-        delta = solve_tridiagonal(*stepper._jacobian(u, rho, coef), -G)
+        delta = solve_tridiagonal(*stepper._jacobian(u, rho), -G)
         damping = 1.0
         for _ in range(transient.NEWTON_MAX_BACKTRACKS):
-            trial, _ = stepper._residual(u + damping * delta, rho_old, coef, base)
+            trial, _ = stepper._residual(u + damping * delta, rho_old, base)
             if norm_of(trial) < norm:
                 break
             damping *= 0.5
         u = u + damping * delta
-    G, _ = stepper._residual(u, rho_old, coef, base)
+    G, _ = stepper._residual(u, rho_old, base)
     return stepper._logistic(u + stepper.v) if norm_of(G) < transient.NEWTON_TOLERANCE else None
 
 
@@ -310,7 +334,7 @@ def test_implicit_step_equals_reference_newton(dt, newton, monkeypatch):
     g = build_grid(60)
     rng = np.random.default_rng(11)
     rho_old = rng.uniform(0.02, 0.98, g.n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g))
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), dt)
     calls = {"_residual": 0, "_jacobian": 0}
     for name in calls:
         original = getattr(_ImplicitStepper, name)
@@ -320,14 +344,14 @@ def test_implicit_step_equals_reference_newton(dt, newton, monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(_ImplicitStepper, name, counted)
-    want = reference_newton(stepper, rho_old, dt)
+    want = reference_newton(stepper, rho_old)
     reference_calls = dict(calls)
     calls.update(_residual=0, _jacobian=0)
     if want is None:
         with pytest.raises(StepFailureError):
-            stepper.step(rho_old, dt)
+            stepper.solve(rho_old)
         return
-    assert np.array_equal(stepper.step(rho_old, dt), want)
+    assert np.array_equal(stepper.solve(rho_old)[0], want)
     assert calls["_jacobian"] == reference_calls["_jacobian"]
     if transient.NEWTON_MAX_BACKTRACKS:
         # an accepted trial is the next iterate: its G is not evaluated again
@@ -355,12 +379,14 @@ def cell_balance(g, rho_old, u, dt, model):
 @pytest.mark.parametrize("dt", [1e-3, 5.0])
 def test_implicit_residual_is_the_cell_balance(n, dt):
     g = build_grid(n)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g))
+    d = discretize(MODEL_C, g)
+    stepper = _ImplicitStepper(d, dt)
+    assert np.array_equal(stepper.coef, d.volumes / dt + stepper.vol_decay)
     rng = np.random.default_rng(n)
     for _ in range(10):
         rho_old = rng.uniform(0.02, 0.98, n)
         u = rng.normal(0.0, 2.0, n)
-        G, rho = stepper._residual(u, rho_old, *stepper._balance(rho_old, dt))
+        G, rho = stepper._residual(u, rho_old, stepper._base(rho_old))
         want, scale = cell_balance(g, rho_old, u, dt, MODEL_C)
         assert np.max(np.abs(G - want)) <= 1e-13 * scale
         assert np.array_equal(rho, _ImplicitStepper._logistic(u + g.nodes))
@@ -370,26 +396,26 @@ def test_implicit_residual_time_term_is_exactly_zero_at_the_old_density():
     # the balance keeps the difference rho - rho_old: at rho == rho_old the
     # time term is 0 for every dt, so its roundoff does not grow like 1/dt
     g = build_grid(60)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g))
+    d = discretize(MODEL_C, g)
     u = np.random.default_rng(5).normal(0.0, 2.0, g.n)
     rho_old = _ImplicitStepper._logistic(u + g.nodes)
-    balances = [
-        stepper._residual(u, rho_old, *stepper._balance(rho_old, dt))[0]
-        for dt in (1e-9, 1e-3, 1.0)
-    ]
+    balances = []
+    for dt in (1e-9, 1e-3, 1.0):  # one stepper per step size
+        stepper = _ImplicitStepper(d, dt)
+        balances.append(stepper._residual(u, rho_old, stepper._base(rho_old))[0])
     for G in balances[1:]:
         assert np.array_equal(G, balances[0])
 
 
 def test_implicit_residual_returns_arrays_no_later_call_overwrites():
     g = build_grid(60)
-    stepper = _ImplicitStepper(discretize(MODEL_C, g))
+    stepper = _ImplicitStepper(discretize(MODEL_C, g), 1e-2)
     rng = np.random.default_rng(3)
     rho_old = rng.uniform(0.02, 0.98, g.n)
-    balance = stepper._balance(rho_old, 1e-2)
-    first = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, *balance)
+    base = stepper._base(rho_old)
+    first = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, base)
     kept = [a.copy() for a in first]
-    again = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, *balance)
+    again = stepper._residual(rng.normal(0.0, 2.0, g.n), rho_old, base)
     stepper._norm(again[0])
     for array, copy in zip(first, kept):
         assert np.array_equal(array, copy)
@@ -566,8 +592,8 @@ def test_implicit_run_guards_the_extrema_against_non_finite_states(monkeypatch):
 
     calls = []
 
-    def poisoned(self, rho_old, dt, guess=None):
-        rho, u = original(self, rho_old, dt, guess)
+    def poisoned(self, rho_old, guess=None):
+        rho, u = original(self, rho_old, guess)
         calls.append(None)
         if len(calls) == 5:  # the last step: no later solve sees it
             rho[5] = np.nan
