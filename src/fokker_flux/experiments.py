@@ -83,6 +83,14 @@ def _is_list_of(values, test) -> bool:
     return isinstance(values, (list, tuple)) and all(test(v) for v in values)
 
 
+def _check_keys(what: str, mapping: dict, allowed: tuple) -> None:
+    """Reject the keys of a nested ``potential`` or ``initial`` mapping that
+    its kind does not read (``kind`` is always read)."""
+    unknown = sorted(set(mapping) - {"kind", *allowed}, key=str)
+    hint = "; gamma is a top-level field" if "gamma" in unknown else ""
+    _require(not unknown, f"unknown {what} keys {unknown} for kind {mapping.get('kind')!r}{hint}")
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Read a JSON mapping into the run it describes (raises ConfigError).
 
@@ -113,9 +121,10 @@ def config_from_dict(data: dict) -> RunConfig:
 
     alpha, beta, gamma, t_end = fnum("alpha"), fnum("beta"), fnum("gamma", 1.0), fnum("t_end")
 
-    pot = data.get("potential", "linear")
-    table = pot.get("values") if isinstance(pot, dict) else None
-    pot = pot.get("kind") if isinstance(pot, dict) else pot
+    pot, table = data.get("potential", "linear"), None
+    if isinstance(pot, dict):
+        table, pot = pot.get("values"), pot.get("kind")
+        _check_keys("potential", data["potential"], ("values",) if pot == "tabulated" else ())
     if pot == "tabulated":
         _require(_is_list_of(table, _is_number) and len(table) > 0,
                  "tabulated potential needs a nonempty 'values' list of numbers")
@@ -126,14 +135,17 @@ def config_from_dict(data: dict) -> RunConfig:
     if isinstance(initial, str):
         initial = {"kind": initial}
     _require(isinstance(initial, dict) and "kind" in initial, "initial needs a 'kind'")
+    kind = initial["kind"]
+    _check_keys("initial", initial,
+                ("a", "b") if kind == "affine" else ("values",) if kind == "tabulated" else ())
     initial_args = {}
-    if initial["kind"] == "affine":
+    if kind == "affine":
         for key in ("a", "b"):
             if key in initial:
                 _require(_is_number(initial[key]),
                          f"affine initial coefficient {key!r} must be a number")
                 initial_args[key] = float(initial[key])
-    if initial["kind"] == "tabulated":
+    if kind == "tabulated":
         vals = initial.get("values")
         _require(_is_list_of(vals, _is_number) and len(vals) > 0,
                  "tabulated initial needs a nonempty 'values' list of numbers")
@@ -167,7 +179,7 @@ def config_from_dict(data: dict) -> RunConfig:
     _require(not bad, f"unknown emit entries {bad}; choose from {EMIT_CHOICES}")
 
     # each object checks its own values
-    spec = InitialSpec(initial["kind"], **initial_args)
+    spec = InitialSpec(kind, **initial_args)
     grid = build_grid(data.get("n", 200))
     table = [float(v) for v in table] if pot == "tabulated" else None
     model = ModelSpec(model, alpha, beta, PotentialSpec(pot, gamma=gamma, values=table))

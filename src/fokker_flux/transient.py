@@ -53,9 +53,9 @@ class SolverConfig:
     """Time-stepping parameters.
 
     ``observe_every`` is the step stride of the observer samples; the
-    explicit scheme additionally requires ``dt <= Discretization.max_dt``
-    and, for models A and B, a step matrix ``T >= 0`` (the positivity
-    certificate), for model C the checks of ``_check_cfl``. The implicit
+    explicit scheme additionally requires the mesh Peclet, step and reaction
+    bounds of ``_check_explicit`` and, for models A and B, a step matrix
+    ``T >= 0`` (the positivity certificate). The implicit
     scheme's Newton settings are the module's ``NEWTON_*`` constants.
     """
 
@@ -171,48 +171,39 @@ START_WEIGHTS = (None, None, np.array([-1.0, 2.0]), np.array([1.0, -3.0, 3.0]),
                  *[np.array([-1.0, 4.0, -6.0, 4.0])] * 4, QUARTIC_START)
 
 
-def _check_peclet(d: Discretization, failure: str) -> None:
-    """Raise StabilityError, after ``failure``, if the mesh Peclet number
-    ``dx |V'| / 2`` exceeds 1 at a face: an off-diagonal entry of the
-    explicit step is then negative at every dt. For the linear kinds the
-    error names the smallest n that passes."""
+def _check_explicit(d: Discretization, dt: float) -> None:
+    """Raise StabilityError unless the explicit scheme admits ``dt`` on ``d``.
+
+    The bounds, in this order for every model: the mesh Peclet number
+    ``dx |V'| / 2 <= 1`` at every face (above it an off-diagonal entry of
+    the step is negative at every dt; for the linear kinds the error names
+    the smallest n that passes), ``dt <= d.max_dt`` and, for models B and C,
+    the reaction bound ``dt max(d.decay) <= 1``.
+    """
     peclet = 0.5 * d.grid.dx * np.abs(d.slope)
     f = int(np.argmax(peclet))
-    if not peclet[f] > 1.0:
-        return
-    slope = abs(float(d.slope[f]))
-    n = math.ceil(slope / 2.0) + 1
-    while 0.5 * (1.0 / (n - 1)) * slope > 1.0:  # as the faces compute it
-        n += 1
-    raise StabilityError(
-        f"{failure}the mesh Peclet number dx*|V'|/2 = {peclet[f]:.6g} between nodes {f} "
-        f"and {f + 1} is above 1, so no dt keeps the explicit step positive; "
-        + ("tabulate V on a finer grid" if d.model.potential.kind == "tabulated"
-           else f"refine the grid to n >= {n}")
-    )
-
-
-def _check_cfl(d: Discretization, dt: float) -> None:
-    """``dt <= d.max_dt``; for model C, which has no step-matrix certificate,
-    also the mesh Peclet condition and the reaction bound ``dt max(d.decay) <= 1``."""
-    if d.model.crowded:
-        _check_peclet(d, "")
+    if peclet[f] > 1.0:
+        slope = abs(float(d.slope[f]))
+        n = math.ceil(slope / 2.0) + 1
+        while 0.5 * (1.0 / (n - 1)) * slope > 1.0:  # as the faces compute it
+            n += 1
+        raise StabilityError(
+            f"the mesh Peclet number dx*|V'|/2 = {peclet[f]:.6g} between nodes {f} "
+            f"and {f + 1} is above 1, so no dt keeps the explicit step positive; "
+            + ("tabulate V on a finer grid" if d.model.potential.kind == "tabulated"
+               else f"refine the grid to n >= {n}")
+        )
     if dt > d.max_dt:
         raise StabilityError(
             f"dt={dt} exceeds the explicit stability bound {d.max_dt:.6e}; "
             "lower dt (run configurations accept dt='auto' for half the bound)"
         )
-    if d.model.crowded:
-        _check_reaction(d, dt)
-
-
-def _check_reaction(d: Discretization, dt: float) -> None:
-    """Raise StabilityError if ``dt max(d.decay) > 1`` (models B and C)."""
-    rate = float(d.decay.max())
-    if dt * rate > 1.0:
-        raise StabilityError(
-            f"dt={dt} breaks the reaction bound dt*max({'alpha + ' if d.model.crowded else ''}"
-            f"beta*exp(-V)) <= 1 of model {d.model.model}; lower dt to {1.0 / rate:.6e}")
+    if d.decay is not None:
+        rate = float(d.decay.max())
+        if dt * rate > 1.0:
+            raise StabilityError(
+                f"dt={dt} breaks the reaction bound dt*max({'alpha + ' if d.model.crowded else ''}"
+                f"beta*exp(-V)) <= 1 of model {d.model.model}; lower dt to {1.0 / rate:.6e}")
 
 
 def flux_field(rho: DensityField, d: Discretization) -> FluxField:
@@ -305,7 +296,8 @@ class _ExplicitStepper:
 
         Raises StabilityError unless ``T >= 0`` entrywise (up to roundoff)
         and ``c >= 0``: with that certificate every iterate of nonnegative
-        data is nonnegative. The error names a broken Peclet or reaction bound.
+        data is nonnegative. Past :func:`_check_explicit` it fails at model
+        A's outflow node ``T[n-1, n-1]``, or by roundoff at ``dt = max_dt``.
         """
         n = self.d.grid.n
         band = np.empty((n, 3))
@@ -322,11 +314,6 @@ class _ExplicitStepper:
         if not (band.min() >= -_ROUNDOFF and c.min() >= 0.0):
             i, k = divmod(int(np.argmin(band)), 3)
             j = i + k - 1
-            if k != 1 and band[i, k] < -_ROUNDOFF:
-                _check_peclet(self.d, f"the off-diagonal entry T[{i}, {j}] = "
-                                      f"{band[i, k]:.3e} of the explicit step is negative: ")
-            if self.d.decay is not None:
-                _check_reaction(self.d, dt)
             raise StabilityError(
                 f"dt={dt} breaks the positivity bound T >= 0 (to -{_ROUNDOFF:g}), c >= 0 "
                 f"of the explicit step rho -> T rho + c: T[{i}, {j}] = {band[i, k]:.3e}, "
@@ -405,12 +392,12 @@ def _strided_blocks(rho: FloatArray, power: Optional[FloatArray], count: int):
 
 
 def step_explicit(rho: DensityField, d: Discretization, dt: float) -> DensityField:
-    """One explicit step of ``rho``, a field on ``d.grid``; requires ``dt <= d.max_dt``
-    and, for models A and B, the positivity certificate of
-    :meth:`_ExplicitStepper.step_band` (StabilityError otherwise)."""
+    """One explicit step of ``rho``, a field on ``d.grid``; requires the bounds of
+    :func:`_check_explicit` and, for models A and B, the positivity certificate
+    of :meth:`_ExplicitStepper.step_band` (StabilityError otherwise)."""
     _check_dt(dt)
     work = DensityField(rho.values, d.grid).values.copy()
-    _check_cfl(d, dt)
+    _check_explicit(d, dt)
     stepper = _ExplicitStepper(d)
     if not d.model.crowded:  # the positivity certificate, as in a run
         stepper.step_band(dt)
@@ -781,7 +768,7 @@ def run_transient(
     if implicit:
         stepper = _ImplicitStepper(d, dt)
     else:
-        _check_cfl(d, dt)
+        _check_explicit(d, dt)
         stepper = _ExplicitStepper(d)
 
     snap_lookup: dict[int, float] = {}

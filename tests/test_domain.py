@@ -98,6 +98,22 @@ def test_potential_tabulated_rejects_nonfinite():
         PotentialSpec("tabulated", values=np.array([0.0, np.inf]))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PotentialSpec("tabulated"), InvalidModelError,
+     "tabulated potential needs nodal values"),
+    (lambda: PotentialSpec("tabulated", values=np.zeros(5)).slope, InvalidModelError,
+     "tabulated potential has no constant slope"),
+    (lambda: DensityField(np.array([0.5, 0.5, math.nan, 0.5]), build_grid(4)).validate_for_model(
+        ModelSpec("A", 1.0, 1.0)), InvalidInitialError, "non-finite density at node 2"),
+    (lambda: InitialSpec("tabulated"), InvalidInitialError,
+     "tabulated initial condition needs values"),
+], ids=["potential-without-values", "tabulated-slope", "non-finite-density",
+        "initial-without-values"])
+def test_domain_input_errors_name_their_cause(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_model_requires_positive_rates():
     with pytest.raises(InvalidModelError, match="beta >= beta_0 > 0"):
         ModelSpec("A", 1.0, 0.0)

@@ -119,6 +119,21 @@ def test_config_tabulated_potential_needs_its_values():
         config_from_dict(dict(TINY, potential="tabulated"))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("potential", {"kind": "scaled-linear", "gamma": 2.0}, "gamma is a top-level field"),
+    ("potential", {"kind": "linear", "values": [0.0] * 60}, r"potential keys \['values'\]"),
+    ("potential", {"kind": ["x"], "values": [0.0] * 60}, r"potential keys \['values'\]"),
+    ("initial", {"kind": "affine", "A": 5}, r"initial keys \['A'\] for kind 'affine'"),
+    ("initial", {"kind": "parabola", "a": 5}, r"initial keys \['a'\] for kind 'parabola'"),
+    ("initial", {"kind": "mass1", "values": [1.0] * 60}, r"initial keys \['values'\]"),
+    ("initial", {"kind": ["x"], "a": 5}, r"initial keys \['a'\]"),
+], ids=["potential-gamma", "linear-values", "list-kind-values", "affine-A", "parabola-a",
+        "mass1-values", "list-kind-a"])
+def test_config_rejects_keys_the_kind_does_not_read(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(dict(TINY, **{field: value}))
+
+
 def test_config_outputs_must_be_a_string():
     with pytest.raises(ConfigError, match="outputs must be a directory name"):
         config_from_dict(dict(TINY, outputs=["a"]))
@@ -401,6 +416,16 @@ def test_mass_evolution_coarse_structure(tmp_path):
     assert header == "t,mass,node_average_mass"
 
 
+def test_cli_preset_mass1(tmp_path, capsys):
+    out = tmp_path / "m1"
+    assert main(["preset", "mass1", "--out", str(out), "--set", "t_end=0.2"]) == 0
+    assert "interior maximum 1.24597 at t=0.15" in capsys.readouterr().out
+    for name in ("entropy.csv", "mass.csv", "mass.svg", "summary.json"):
+        assert (out / name).exists()
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["mass_evolution"]["extremum_kind"] == "maximum"
+
+
 def test_mass_evolution_rejects_other_presets():
     with pytest.raises(ConfigError):
         mass_evolution("entropy-A")
@@ -631,7 +656,6 @@ def test_cli_mesh_peclet_above_one_names_the_grid_exits_2(tmp_path, capsys, dt):
                  "--set", 'potential="scaled-linear"', "--set", "gamma=16", "--set", f"dt={dt}"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "off-diagonal entry T[0, 1] = -" in err
     assert "mesh Peclet number dx*|V'|/2 = 1.14286" in err
     assert "refine the grid to n >= 9" in err and "lower dt" not in err
     assert not (tmp_path / "x").exists()
@@ -663,6 +687,17 @@ def test_cli_model_B_reaction_bound_exits_2(tmp_path, capsys):
     assert "breaks the reaction bound dt*max(beta*exp(-V)) <= 1 of model B" in err
     assert "lower dt to 1.000000e-30" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name", ["entropy-A", "entropy-B", "entropy-C"])
+@pytest.mark.parametrize("overrides", [{"dt": 1e-2}, {"dt": 1e-6, "beta": 1e30}],
+                         ids=["above-max-dt", "above-reaction-bound"])
+def test_mesh_peclet_is_checked_first_for_every_model(name, overrides):
+    # dx |V'| / 2 = 8/7 on n = 8: no dt helps, whichever other bound dt breaks
+    config = preset_config(name, {"n": 8, "potential": "scaled-linear", "gamma": 16,
+                                  "t_end": 0.001, **overrides})
+    with pytest.raises(StabilityError, match=r"^the mesh Peclet number .*1\.14286.*n >= 9$"):
+        execute(config)
 
 
 def test_model_C_mesh_peclet_is_checked():
@@ -728,6 +763,21 @@ def test_cli_unallocatable_propagator_exits_2(tmp_path, capsys, monkeypatch):
                  "--set", "n=60", "--set", "t_end=0.01"])
     assert code == 2
     assert "step matrix of the propagator at n=60" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["run"], "{", "is not valid JSON"),
+    (["run"], "[1, 2]", "configuration must be a JSON object"),
+    (["preset", "entropy-A", "--set", "n"], None, "--set expects KEY=VALUE, got 'n'"),
+    (["sweep", "--gamma", "0,x"], json.dumps(SWEEP_BASE), "cannot parse --gamma list '0,x'"),
+], ids=["not-json", "not-an-object", "set-without-equals", "bad-gamma-list"])
+def test_cli_input_errors_exit_2(tmp_path, capsys, command, text, message):
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text, encoding="utf-8")
+        command = command + ["--config", str(tmp_path / "cfg.json")]
+    assert main(command + ["--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
